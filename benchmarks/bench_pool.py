@@ -1,13 +1,13 @@
-"""Persistent worker pool vs. legacy sharding vs. serial Procedure 2.
+"""Persistent worker pool vs. serial Procedure 2.
 
 Measures wall-clock time of complete Procedure 2 runs on the serial
-simulator, on the legacy per-dispatch sharded executor
-(``pool="sharded"``) and on the persistent shared-memory worker pool
-(``pool="persistent"``) across an ``n_jobs`` x ``candidate_batch``
-grid, and verifies every parallel/batched result is byte-identical to
+simulator and on the persistent shared-memory worker pool across an
+``n_jobs`` x ``candidate_batch`` grid, and verifies every parallel/batched result is byte-identical to
 the serial run (config and execution metadata normalized out).  The
 measured table is written as ``BENCH_pool.json`` so speedups are
-tracked in-repo rather than anecdotal.
+tracked in-repo rather than anecdotal.  The committed file also holds
+``sharded`` rows measured on the per-dispatch executor that has since
+been removed; they stay as history.
 
 Modes::
 
@@ -68,7 +68,6 @@ SMOKE_REPEATS = 2
 #: (mode, n_jobs, candidate_batch) rows measured against each workload.
 #: ``pool`` with ``n_jobs=1`` exercises the in-process batched pass.
 FULL_GRID = [
-    ("sharded", 4, 1),
     ("pool", 1, 10),
     ("pool", 2, 10),
     ("pool", 4, 10),
@@ -76,7 +75,6 @@ FULL_GRID = [
 ]
 
 SMOKE_GRID = [
-    ("sharded", 2, 1),
     ("pool", 1, 8),
     ("pool", 2, 8),
 ]
@@ -85,7 +83,7 @@ SMOKE_GRID = [
 def _canonical_blob(result: Any, reference_config: BistConfig) -> bytes:
     """The result's scientific payload, execution metadata removed.
 
-    ``config`` differs across rows by construction (``n_jobs``/``pool``/
+    ``config`` differs across rows by construction (``n_jobs`` and
     ``candidate_batch`` are execution knobs) and ``degradation`` is
     explicitly execution metadata, so both are normalized before the
     byte comparison.
@@ -145,7 +143,6 @@ def run_grid(smoke: bool) -> Dict[str, Any]:
             cfg = BistConfig(
                 **base,
                 n_jobs=jobs,
-                pool="persistent" if mode == "pool" else mode,
                 candidate_batch=batch,
             )
             res, seconds = _timed_run(circuit, cfg, faults, repeats)

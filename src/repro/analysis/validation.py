@@ -5,7 +5,7 @@ single-pattern detection probability from structure alone; the compiled
 simulator measures the same quantity by brute force
 (:meth:`~repro.faults.fault_sim.FaultSimulator.measure_detection_counts`).
 This module cross-checks the two, the way the repo's other numeric
-engines are guarded (serial vs. sharded simulation, python vs. compiled
+engines are guarded (serial vs. pooled simulation, python vs. compiled
 kernels): not for exact equality -- COP assumes independent gate inputs,
 which reconvergent fanout violates -- but for the properties the
 consumers rely on:

@@ -213,7 +213,6 @@ def _config_from_args(args: argparse.Namespace) -> BistConfig:
         max_iterations=args.max_iterations,
         candidate_bias=args.candidate_bias,
         n_jobs=args.jobs,
-        pool=args.pool,
         candidate_batch=args.candidate_batch,
         shard_timeout=args.shard_timeout,
         shard_retries=args.shard_retries,
@@ -495,13 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "D1 around the COP scan-benefit pivot so "
                             "effective depths are tried first")
         p.add_argument("--jobs", type=int, default=1,
-                       help="fault-simulation worker processes "
+                       help="fault-simulation worker processes on the "
+                            "persistent shared-memory pool "
                             "(1 = serial, -1 = all cores)")
-        p.add_argument("--pool", choices=("persistent", "sharded"),
-                       default="persistent",
-                       help="parallel back end for --jobs > 1: the "
-                            "persistent shared-memory worker pool or the "
-                            "legacy per-dispatch sharded executor")
         p.add_argument("--candidate-batch", type=int, default=1,
                        metavar="N", dest="candidate_batch",
                        help="candidate test sets evaluated per "

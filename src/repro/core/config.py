@@ -48,19 +48,18 @@ class BistConfig:
             :class:`repro.analysis.LintError`, ``'off'`` skips the
             check.  Like ``n_jobs`` it never changes results on valid
             circuits and is excluded from serialized configurations.
-        shard_timeout: seconds the sharded simulator waits for a
+        shard_timeout: seconds the persistent worker pool waits for a
             dispatch's worker shards before declaring the laggards hung
-            and respawning the pool; ``None`` waits forever.  Execution
-            knob (recovery re-runs the same deterministic work).
+            and respawning the workers; ``None`` waits forever.
+            Execution knob (recovery re-runs the same deterministic
+            work).
         shard_retries: parallel re-attempts for a failed shard before it
             is re-executed serially in the parent.  Execution knob.
-        pool: which parallel back-end serves fault simulation when
-            ``n_jobs > 1``: ``'persistent'`` (default) keeps one worker
-            pool alive for the whole Procedure 2 run with the circuit
-            and fault list published once through shared memory (see
-            :mod:`repro.faults.pool`); ``'sharded'`` is the legacy
-            per-dispatch :class:`~repro.faults.sharding.ShardedFaultSimulator`.
-            Execution knob: results are byte-identical either way.
+        pool: the parallel back end behind ``n_jobs > 1``; only
+            ``'persistent'`` exists: one worker pool stays alive for the
+            whole Procedure 2 run with the circuit and fault list
+            published once through shared memory (see
+            :mod:`repro.faults.pool`).  Execution knob.
         candidate_batch: how many ``(I, D1)`` candidate test sets
             Procedure 2 scores per fault-simulation dispatch.  1
             (default) evaluates candidates one by one; larger values
@@ -126,8 +125,8 @@ class BistConfig:
             raise ValueError("shard_timeout must be positive, or None")
         if self.shard_retries < 0:
             raise ValueError("shard_retries must be >= 0")
-        if self.pool not in ("persistent", "sharded"):
-            raise ValueError("pool must be 'persistent' or 'sharded'")
+        if self.pool != "persistent":
+            raise ValueError("pool must be 'persistent'")
         if self.candidate_batch < 1:
             raise ValueError("candidate_batch must be >= 1")
         if self.candidate_bias not in ("uniform", "testability"):

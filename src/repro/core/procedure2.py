@@ -35,11 +35,7 @@ from repro.faults.fault_sim import (
 )
 from repro.faults.model import Fault
 from repro.faults.pool import CandidateEvaluator
-from repro.faults.sharding import (
-    RecoveryPolicy,
-    ShardedFaultSimulator,
-    resolve_n_jobs,
-)
+from repro.faults.sharding import RecoveryPolicy, resolve_n_jobs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.robustness.checkpoint import CheckpointPolicy, CheckpointWriter
@@ -73,7 +69,7 @@ class Procedure2Result:
     remaining_faults: List[Fault] = field(default_factory=list)
     detections: Dict[Fault, DetectionRecord] = field(default_factory=dict)
     #: Worker-pool recovery actions of this run (execution metadata:
-    #: populated only when a sharded run degraded, never serialized).
+    #: populated only when a pooled run degraded, never serialized).
     degradation: Optional["DegradationReport"] = None
     #: Which candidate search order produced this run (``'uniform'`` or
     #: ``'testability'``).  Execution metadata like ``degradation``:
@@ -169,14 +165,6 @@ def _recovery_from_config(config: BistConfig) -> RecoveryPolicy:
     )
 
 
-def _attach_degradation(
-    result: Procedure2Result,
-    sim: Union[FaultSimulator, ShardedFaultSimulator],
-) -> None:
-    if isinstance(sim, ShardedFaultSimulator) and sim.degradation.degraded:
-        result.degradation = sim.degradation
-
-
 def _journal_header(
     circuit: Circuit,
     config: BistConfig,
@@ -225,14 +213,12 @@ def run_procedure2(
 
     ``n_jobs`` (default: ``config.n_jobs``) shards the fault list across
     worker processes for every fault-simulation call.  With
-    ``config.pool == 'persistent'`` (the default) one
-    :class:`~repro.faults.pool.PersistentWorkerPool` lives for the whole
-    run: the compiled circuit and target faults are published once into
-    shared memory and each dispatch ships only shard indices plus
-    pattern seeds.  ``config.pool == 'sharded'`` selects the legacy
-    per-dispatch :class:`~repro.faults.sharding.ShardedFaultSimulator`.
-    ``config.candidate_batch`` additionally scores that many candidate
-    ``(I, D1)`` test sets per dispatch in one fanned-out pass.  Results
+    ``n_jobs > 1`` one :class:`~repro.faults.pool.PersistentWorkerPool`
+    lives for the whole run: the compiled circuit and target faults are
+    published once into shared memory and each dispatch ships only shard
+    indices plus pattern seeds.  ``config.candidate_batch`` additionally
+    scores that many candidate ``(I, D1)`` test sets per dispatch in one
+    fanned-out pass.  Results
     are byte-identical to the serial run for any combination of these
     knobs; worker failures are recovered shard by shard and recorded on
     ``result.degradation``.
@@ -258,11 +244,6 @@ def run_procedure2(
     target_faults = list(target_faults)
     simulator = simulator or FaultSimulator(circuit)
     jobs = resolve_n_jobs(config.n_jobs if n_jobs is None else n_jobs)
-    sim = (
-        simulator.sharded(jobs, recovery=_recovery_from_config(config))
-        if jobs > 1 and config.pool == "sharded"
-        else simulator
-    )
     writer = None
     if checkpoint is not None:
         from repro.robustness.checkpoint import CheckpointPolicy, CheckpointWriter
@@ -275,21 +256,17 @@ def run_procedure2(
         writer = CheckpointWriter(
             ckpt,
             header=_journal_header(
-                circuit, config, sim.chain_length, target_faults
+                circuit, config, simulator.chain_length, target_faults
             ),
         )
     try:
-        result = _run_procedure2_body(
-            circuit, config, target_faults, sim, policy, ts0,
+        return _run_procedure2_body(
+            circuit, config, target_faults, simulator, policy, ts0,
             writer=writer, n_jobs=jobs,
         )
     finally:
-        if sim is not simulator:
-            sim.close()
         if writer is not None:
             writer.close()
-    _attach_degradation(result, sim)
-    return result
 
 
 def resume_procedure2(
@@ -324,6 +301,7 @@ def resume_procedure2(
         CheckpointWriter,
         fingerprint_faults,
         load_checkpoint,
+        truncate_uncommitted,
     )
 
     ckpt = (
@@ -394,18 +372,10 @@ def resume_procedure2(
 
     # ---- continue the run ---------------------------------------------
     simulator = simulator or FaultSimulator(circuit)
-    jobs = resolve_n_jobs(config.n_jobs if n_jobs is None else n_jobs)
-    sim = (
-        simulator.sharded(jobs, recovery=_recovery_from_config(config))
-        if jobs > 1 and config.pool == "sharded"
-        else simulator
-    )
-    if sim.chain_length != header["n_sv"]:
-        if sim is not simulator:
-            sim.close()
+    if simulator.chain_length != header["n_sv"]:
         raise CheckpointMismatchError(
             f"journal n_sv {header['n_sv']} != simulator chain length "
-            f"{sim.chain_length}"
+            f"{simulator.chain_length}"
         )
     start = _ResumeState(
         result=result,
@@ -414,32 +384,31 @@ def resume_procedure2(
         n_same_fc=n_same_fc,
         ts0_done=state.ts0 is not None,
     )
+    # Appending behind a torn tail would strand every later commit,
+    # final record included, where no reader can reach it.
+    truncate_uncommitted(ckpt.path, state)
     writer = CheckpointWriter(ckpt)  # append to the existing journal
     try:
-        result = _run_procedure2_body(
+        return _run_procedure2_body(
             circuit,
             config,
             target_faults,
-            sim,
+            simulator,
             policy,
             ts0,
             writer=writer,
             start=start,
-            n_jobs=jobs,
+            n_jobs=resolve_n_jobs(config.n_jobs if n_jobs is None else n_jobs),
         )
     finally:
-        if sim is not simulator:
-            sim.close()
         writer.close()
-    _attach_degradation(result, sim)
-    return result
 
 
 def _run_procedure2_body(
     circuit: Circuit,
     config: BistConfig,
     target_faults: Sequence[Fault],
-    simulator: Union[FaultSimulator, ShardedFaultSimulator],
+    simulator: FaultSimulator,
     policy: Optional[ObservationPolicy],
     ts0: Optional[List[ScanTest]],
     writer: Optional["CheckpointWriter"] = None,

@@ -227,34 +227,39 @@ class FaultSimulator:
         first detections may differ (earliest time unit instead of
         earliest test).  ``max_cols`` bounds memory: a batch is chunked
         so that ``n_tests * n_groups <= max_cols``.
+
+        Every chunk is a one-candidate pass of the batched kernel
+        (:meth:`_simulate_candidate_batch`), with detected faults dropped
+        between chunks.
         """
         policy = policy or ObservationPolicy()
+        tests = list(tests)
         remaining: List[Fault] = list(faults)
         detected: Dict[Fault, DetectionRecord] = {}
-
-        batches: Dict[tuple, List[Tuple[int, ScanTest]]] = {}
-        for i, test in enumerate(tests):
-            self._check_test(test)
-            sig = (
-                test.length,
-                tuple(
-                    (k, tuple(fill))
-                    for k, fill in (test.schedule or [(0, ())] * test.length)
-                ),
-            )
-            batches.setdefault(sig, []).append((i, test))
-
-        for items in batches.values():
+        rank = 0
+        for idx_list in self.candidate_partition(tests):
             pos = 0
-            while pos < len(items) and remaining:
-                n_groups = (len(remaining) + 63) // 64
-                chunk_tests = max(1, max_cols // max(n_groups, 1))
-                chunk = items[pos : pos + chunk_tests]
+            while pos < len(idx_list) and remaining:
+                groups = [
+                    remaining[i : i + 64] for i in range(0, len(remaining), 64)
+                ]
+                chunk = idx_list[pos : pos + max(1, max_cols // len(groups))]
                 pos += len(chunk)
-                hits = self._simulate_batch(chunk, remaining, policy)
-                if hits:
-                    detected.update(hits)
-                    remaining = [f for f in remaining if f not in hits]
+                rows: List[List[tuple]] = [[]]
+                self._simulate_candidate_batch(
+                    [tests], chunk, groups, policy, rank, rows
+                )
+                rank += 1
+                if rows[0]:
+                    for fault_pos, _rank, test_index, time_unit, where in rows[0]:
+                        fault = remaining[fault_pos]
+                        detected[fault] = DetectionRecord(
+                            fault=fault,
+                            test_index=test_index,
+                            time_unit=time_unit,
+                            where=where,
+                        )
+                    remaining = [f for f in remaining if f not in detected]
         return detected
 
     # ------------------------------------------------------------------
@@ -422,10 +427,10 @@ class FaultSimulator:
         per time unit serves every candidate's faulty machines *and* the
         reference.  Injection masks are remapped to the ``G + 1`` stride
         and never touch the reference slots, so every column carries
-        bit-for-bit the value the serial :meth:`_simulate_batch` layout
-        (separate reference pass, ``G``-stride faulty pass) would give
-        it, and therefore every detection row is identical to a
-        per-candidate serial pass.
+        bit-for-bit the value a separate reference pass and ``G``-stride
+        faulty pass would give it, and every detection row is identical
+        to a per-candidate pass (:meth:`simulate_grouped` is exactly
+        that: this kernel with ``C == 1``).
         """
         model = self.model
         C = len(test_sets)
@@ -546,105 +551,6 @@ class FaultSimulator:
             diff = fs[..., :G] ^ fs[..., G:]
             record_all(np.bitwise_or.reduce(diff, axis=0), length, "scan-out")
 
-    def _simulate_batch(
-        self,
-        items: Sequence[Tuple[int, ScanTest]],
-        remaining: Sequence[Fault],
-        policy: ObservationPolicy,
-    ) -> Dict[Fault, DetectionRecord]:
-        model = self.model
-        tests = [t for _, t in items]
-        test_ids = [i for i, _ in items]
-        n_tests = len(tests)
-        length = tests[0].length
-        schedule = [tests[0].step(u) for u in range(length)]
-        groups = [list(remaining[i : i + 64]) for i in range(0, len(remaining), 64)]
-        n_groups = len(groups)
-        n_cols = n_tests * n_groups  # column = t * n_groups + g
-
-        taps = policy.tap_rows()
-        # --- fault-free reference over all tests (one column per test) ---
-        ref_po, ref_scan, ref_final, ref_taps = self._ff_batch(
-            tests, schedule, taps
-        )
-
-        # --- faulty pass ---------------------------------------------------
-        entries = []
-        for g, group in enumerate(groups):
-            for bit, fault in enumerate(group):
-                sig_idx = self.graph.signal_of(fault)
-                for t in range(n_tests):
-                    entries.append((sig_idx, t * n_groups + g, bit, fault.value))
-        injections = Injections.build(entries, model.level_of_signal)
-
-        si_words = self._si_words(tests)  # (chain, n_tests)
-        state = np.zeros((self._n_sv, n_cols), dtype=np.uint64)
-        if len(self.chain):
-            state[self.chain, :] = np.repeat(si_words, n_groups, axis=1)
-        vals = model.alloc(n_cols)
-        seen = np.zeros(n_groups, dtype=np.uint64)
-        hits: Dict[Fault, DetectionRecord] = {}
-
-        def record(diff_tg: np.ndarray, u: int, where: str) -> None:
-            nonlocal seen
-            agg = np.bitwise_or.reduce(diff_tg, axis=0)
-            fresh = agg & ~seen
-            if not fresh.any():
-                return
-            for g in np.flatnonzero(fresh):
-                bits = int(fresh[g])
-                mask_col = diff_tg[:, g]
-                while bits:
-                    low = bits & -bits
-                    bit = low.bit_length() - 1
-                    if bit < len(groups[g]):
-                        t_first = int(
-                            np.flatnonzero(mask_col & np.uint64(low))[0]
-                        )
-                        fault = groups[g][bit]
-                        hits[fault] = DetectionRecord(
-                            fault=fault,
-                            test_index=test_ids[t_first],
-                            time_unit=u,
-                            where=where,
-                        )
-                    bits ^= low
-            seen |= fresh
-
-        pi_cube = self._pi_words(tests)  # list per u: (n_pi, n_tests)
-        for u in range(length):
-            k, fill = schedule[u]
-            if k > 0:
-                state, out_words = self._shift(state, k, list(fill))
-                if policy.limited_scan_out:
-                    diff = out_words.reshape(k, n_tests, n_groups) ^ ref_scan[u][
-                        :, :, None
-                    ]
-                    record(
-                        np.bitwise_or.reduce(diff, axis=0), u, "limited-scan"
-                    )
-            vals[model.pi_idx, :] = np.repeat(pi_cube[u], n_groups, axis=1)
-            vals[model.q_idx, :] = state
-            model.eval(vals, injections=injections)
-            if policy.primary_outputs and len(model.po_idx):
-                diff = vals[model.po_idx, :].reshape(
-                    len(model.po_idx), n_tests, n_groups
-                ) ^ ref_po[u][:, :, None]
-                record(np.bitwise_or.reduce(diff, axis=0), u, "po")
-            state = vals[model.d_idx, :].copy()
-            if taps is not None:
-                diff = state[taps, :].reshape(
-                    len(taps), n_tests, n_groups
-                ) ^ ref_taps[u][:, :, None]
-                record(np.bitwise_or.reduce(diff, axis=0), u, "state-tap")
-
-        if policy.final_scan_out and self.chain_length:
-            diff = state[self.chain].reshape(
-                self.chain_length, n_tests, n_groups
-            ) ^ ref_final[:, :, None]
-            record(np.bitwise_or.reduce(diff, axis=0), length, "scan-out")
-        return hits
-
     def _si_words(self, tests: Sequence[ScanTest]) -> np.ndarray:
         """(chain_length, n_tests) replicated-bit words of the SIs."""
         bits = np.array([t.si for t in tests], dtype=bool).T
@@ -664,39 +570,6 @@ class FaultSimulator:
                 ).astype(np.uint64)
             )
         return out
-
-    def _ff_batch(
-        self,
-        tests: Sequence[ScanTest],
-        schedule: Sequence[ScheduleStep],
-        taps: Optional[np.ndarray] = None,
-    ) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray, List[np.ndarray]]:
-        """Fault-free reference for a uniform batch (one column per test)."""
-        model = self.model
-        n_tests = len(tests)
-        state = np.zeros((self._n_sv, n_tests), dtype=np.uint64)
-        if len(self.chain):
-            state[self.chain, :] = self._si_words(tests)
-        vals = model.alloc(n_tests)
-        pi_cube = self._pi_words(tests)
-        ref_po: List[np.ndarray] = []
-        ref_scan: List[np.ndarray] = []
-        ref_taps: List[np.ndarray] = []
-        for u in range(tests[0].length):
-            k, fill = schedule[u]
-            if k > 0:
-                state, out_words = self._shift(state, k, list(fill))
-                ref_scan.append(out_words.copy())
-            else:
-                ref_scan.append(np.zeros((0, n_tests), dtype=np.uint64))
-            vals[model.pi_idx, :] = pi_cube[u]
-            vals[model.q_idx, :] = state
-            model.eval(vals)
-            ref_po.append(vals[model.po_idx, :].copy())
-            state = vals[model.d_idx, :].copy()
-            if taps is not None:
-                ref_taps.append(state[taps, :].copy())
-        return ref_po, ref_scan, state[self.chain].copy(), ref_taps
 
     def detected_by(
         self,
@@ -764,23 +637,6 @@ class FaultSimulator:
             diff &= mask
             counts[i] = int(np.bitwise_count(diff).sum())
         return counts
-
-    def sharded(
-        self, n_jobs: int, recovery=None, chaos=None
-    ) -> "ShardedFaultSimulator":
-        """A fault-sharded parallel front-end over this simulator.
-
-        The returned object has the same simulate surface; close it (or
-        use it as a context manager) to release the worker pool.
-        ``n_jobs=1`` returns a front-end that runs everything serially.
-        ``recovery`` is a :class:`~repro.faults.sharding.RecoveryPolicy`
-        governing shard retries/timeouts; ``chaos`` deterministically
-        injects worker failures for testing (see
-        :mod:`repro.robustness.chaos`).
-        """
-        from repro.faults.sharding import ShardedFaultSimulator
-
-        return ShardedFaultSimulator(self, n_jobs, recovery=recovery, chaos=chaos)
 
     # ------------------------------------------------------------------
     def _check_test(self, test: ScanTest) -> None:

@@ -1,10 +1,10 @@
 """Persistent shared-memory worker pool with batched candidate evaluation.
 
-The legacy :mod:`repro.faults.sharding` path pays two per-dispatch taxes
-that dominate Procedure 2's wall clock: the worker pool is rebuilt (and
-the simulator re-pickled) around every fault-simulation call, and every
-task ships the full test list through the executor's pickle channel.
-This module removes both, and adds a third, larger lever:
+A per-dispatch worker pool pays two taxes that dominate Procedure 2's
+wall clock: the pool is rebuilt (and the simulator re-pickled) around
+every fault-simulation call, and every task ships the full test list
+through the executor's pickle channel.  This module avoids both, and
+adds a third, larger lever:
 
 - **Persistent workers.**  One pool lives for the whole
   :func:`~repro.core.procedure2.run_procedure2` session.  The compiled
@@ -43,13 +43,16 @@ identity.  The parent creates the segment (auto-registered with the
 unlinks on garbage collection/interpreter exit, and if the parent is
 SIGKILLed the resource-tracker process (which outlives it) unlinks the
 registered segment.  Workers only ever attach and never unregister, so
-a SIGKILLed worker cannot strip the parent's protection.
+a SIGKILLed worker cannot strip the parent's protection; and workers
+die with their parent (:func:`~repro.faults.sharding.arm_pdeathsig`),
+so orphans never hold the tracker open (and the segment alive) after a
+parent SIGKILL.
 
-Failure recovery mirrors the legacy path's shard-granular
-:class:`~repro.faults.sharding.RecoveryPolicy` semantics: per-shard
-timeout watchdog, deterministic seeded backoff retries, pool respawn
-after a crash or hang (the shared segment survives respawn), serial
-rescue in the parent for a shard that keeps failing, and a structured
+Failure recovery is shard-granular under a
+:class:`~repro.faults.sharding.RecoveryPolicy`: per-shard timeout
+watchdog, deterministic seeded backoff retries, pool respawn after a
+crash or hang (the shared segment survives respawn), serial rescue in
+the parent for a shard that keeps failing, and a structured
 :class:`~repro.robustness.degradation.DegradationReport` of every
 action.
 """
@@ -77,6 +80,7 @@ from repro.faults.model import Fault
 from repro.faults.sharding import (
     WHERE_RANK,
     RecoveryPolicy,
+    arm_pdeathsig,
     available_cpu_count,
     resolve_n_jobs,
     shard_faults,
@@ -324,7 +328,9 @@ class PersistentWorkerPool:
             # add parallelism, but round-robin dispatch across them makes
             # every per-worker cache (test-set, injection) run cold.
             workers = min(self.n_jobs, available_cpu_count())
-            self._executor = ProcessPoolExecutor(max_workers=workers)
+            self._executor = ProcessPoolExecutor(
+                max_workers=workers, initializer=arm_pdeathsig
+            )
         return self._executor
 
     def submit(
@@ -423,11 +429,10 @@ class _Table:
 class LazyTable(_Table):
     """Per-candidate result that defers to ``simulate_grouped``.
 
-    The compatibility path: used for simulators without
-    :meth:`simulate_candidates` (wrappers, the legacy sharded front-end)
-    and whenever the batched pass's exactness preconditions fail.  One
-    :meth:`hits_for` call issues exactly one ``simulate_grouped`` call,
-    so dispatch counts match the historical loop precisely.
+    Used for single in-process candidates and whenever the batched
+    pass's exactness preconditions fail.  One :meth:`hits_for` call
+    issues exactly one ``simulate_grouped`` call, so dispatch counts
+    match the one-candidate-at-a-time loop precisely.
     """
 
     def __init__(self, simulator: Any, tests_src: Any, policy: Any) -> None:
@@ -478,10 +483,8 @@ class CandidateEvaluator:
     serial ``simulate_grouped`` call would have -- whichever back-end
     produced it:
 
-    - simulators without ``simulate_candidates`` (test wrappers, the
-      legacy ``pool='sharded'`` front-end): plain lazy pass-through,
-      ``batch == 1``;
-    - ``n_jobs <= 1``: the in-process batched pass;
+    - ``n_jobs <= 1``: the in-process batched pass (a single candidate
+      is a plain lazy ``simulate_grouped`` pass-through);
     - ``n_jobs > 1``: the :class:`PersistentWorkerPool`, shard-granular
       recovery included.
 
@@ -516,12 +519,7 @@ class CandidateEvaluator:
         self.chaos = chaos
         self.shards = shards
         self.degradation = DegradationReport()
-        self._can_batch = hasattr(simulator, "simulate_candidates")
-        self._use_pool = (
-            self._can_batch
-            and self.n_jobs > 1
-            and getattr(config, "pool", "persistent") == "persistent"
-        )
+        self._use_pool = self.n_jobs > 1
         self._pool: Optional[PersistentWorkerPool] = None
         self._pool_unavailable = False
         self._target_pos = {f: i for i, f in enumerate(self.targets)}
@@ -532,8 +530,6 @@ class CandidateEvaluator:
     @property
     def batch(self) -> int:
         """Candidates the Procedure 2 loop should hand over per call."""
-        if not self._can_batch:
-            return 1
         return max(1, getattr(self.config, "candidate_batch", 1))
 
     # ------------------------------------------------------------------
@@ -615,8 +611,6 @@ class CandidateEvaluator:
                 for spec in specs
             ]
 
-        if not self._can_batch:
-            return lazy()
         if not self._use_pool or self._pool_unavailable:
             if len(specs) == 1:
                 # Single candidate, in-process: the plain serial call is

@@ -18,6 +18,8 @@ import multiprocessing as mp
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
+from repro.faults.sharding import arm_pdeathsig
+
 try:  # pragma: no cover - non-POSIX fallback
     import resource
 except ImportError:  # pragma: no cover
@@ -39,32 +41,6 @@ class SandboxVerdict:
     detail: str = ""
 
 
-def _arm_pdeathsig() -> None:
-    """Die with the parent: Linux ``PR_SET_PDEATHSIG`` (best-effort).
-
-    A sandboxed job whose parent service is SIGKILLed must not linger
-    as an orphan -- an orphan would keep appending to the job's
-    checkpoint journal while the restarted service resumes from it.
-    On Linux the kernel delivers SIGKILL to the child the moment the
-    parent (strictly: the forking thread) dies; elsewhere this is a
-    no-op and callers fall back on wall-clock budgets.
-    """
-    try:
-        import ctypes
-        import signal as _signal
-
-        libc = ctypes.CDLL(None, use_errno=True)
-        libc.prctl(1, _signal.SIGKILL, 0, 0, 0)  # PR_SET_PDEATHSIG
-    except Exception:  # pragma: no cover - non-Linux / no libc
-        return
-    # The parent may have died between fork and prctl; a reparented
-    # child never gets the signal, so check once explicitly.
-    import os as _os
-
-    if _os.getppid() == 1:  # pragma: no cover - microscopic race window
-        _os._exit(1)
-
-
 def _child_entry(
     conn,
     fn: Callable[..., Dict[str, Any]],
@@ -74,7 +50,7 @@ def _child_entry(
 ) -> None:
     """Runs in the forked child: apply limits, run, ship the dict back."""
     if pdeathsig:
-        _arm_pdeathsig()
+        arm_pdeathsig()
     if mem_bytes and resource is not None:
         try:
             resource.setrlimit(resource.RLIMIT_AS, (mem_bytes, mem_bytes))

@@ -1,10 +1,11 @@
 """Deterministic fault injection for the worker-pool recovery paths.
 
 Testing crash recovery by luck -- run long enough and eventually a
-worker dies -- is worthless; every recovery path in
-:class:`repro.faults.sharding.ShardedFaultSimulator` must be exercisable
-from an ordinary pytest on demand.  A :class:`ChaosPlan` names, purely as
-a function of ``(dispatch, shard, attempt)``, which shard tasks should
+worker dies -- is worthless; every recovery path of the persistent
+worker pool (:class:`repro.faults.pool.CandidateEvaluator`) must be
+exercisable from an ordinary pytest on demand.  A :class:`ChaosPlan`
+names, purely as a function of ``(dispatch, shard, attempt)``, which
+shard tasks should
 
 - **crash** (the worker calls ``os._exit``, indistinguishable from a
   SIGKILL'd or OOM-killed worker),

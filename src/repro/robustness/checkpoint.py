@@ -26,9 +26,12 @@ Crash safety is transactional at iteration granularity: an iteration's
 ``pair`` lines and its ``cursor`` line are appended in a **single
 buffered write** followed by ``fsync``, so a crash can only truncate the
 tail of the file.  The reader treats a ``pair`` without a following
-``cursor`` (or any undecodable tail) as an uncommitted transaction and
-discards it; re-running that iteration from the committed state
-reproduces it exactly.
+``cursor`` (or any undecodable or newline-less tail) as an uncommitted
+transaction and discards it; re-running that iteration from the
+committed state reproduces it exactly.  Before a resumed run appends, it
+cuts the file back to the end of the last committed record
+(:func:`truncate_uncommitted`), so nothing it commits can land behind a
+torn line where no reader would reach it.
 """
 
 from __future__ import annotations
@@ -141,6 +144,10 @@ class CheckpointState:
     pairs: List[Dict[str, Any]] = field(default_factory=list)
     cursor: Tuple[int, int] = (0, 0)  # (iteration, n_same_fc)
     final: Optional[Dict[str, Any]] = None
+    #: Byte offset just past the last committed record (``header``,
+    #: ``ts0``, ``cursor`` or ``final``); everything after it is an
+    #: uncommitted or torn tail.
+    committed_bytes: int = 0
 
     @property
     def detected_rows(self) -> List[List[Any]]:
@@ -159,38 +166,44 @@ def load_checkpoint(path: Union[str, Path]) -> CheckpointState:
     Raises :class:`CheckpointError` if the file is absent or its first
     record is not a compatible header.  A truncated or garbage tail
     (the expected outcome of a SIGKILL mid-write) is silently dropped
-    at the last committed transaction boundary.
+    at the last committed transaction boundary, reported as
+    :attr:`CheckpointState.committed_bytes`.
     """
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"no checkpoint journal at {path}")
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+    records: List[Tuple[Dict[str, Any], int]] = []  # (record, end offset)
+    offset = 0
+    with open(path, "rb") as fh:
+        for raw in fh:
+            offset += len(raw)
+            if not raw.endswith(b"\n"):
+                break  # torn tail: the record's newline never landed
+            line = raw.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
+            except ValueError:
                 break  # torn tail: everything after is uncommitted
             if not isinstance(record, dict) or "kind" not in record:
                 break
-            records.append(record)
-    if not records or records[0].get("kind") != "header":
+            records.append((record, offset))
+    if not records or records[0][0].get("kind") != "header":
         raise CheckpointError(f"{path} is not a checkpoint journal")
-    header = records[0]
+    header, header_end = records[0]
     if header.get("version") != JOURNAL_VERSION:
         raise CheckpointError(
             f"{path} has journal version {header.get('version')!r}, "
             f"this code reads version {JOURNAL_VERSION}"
         )
-    state = CheckpointState(header=header)
+    state = CheckpointState(header=header, committed_bytes=header_end)
     pending_pairs: List[Dict[str, Any]] = []
-    for record in records[1:]:
+    for record, end in records[1:]:
         kind = record["kind"]
         if kind == "ts0":
             state.ts0 = record
+            state.committed_bytes = end
         elif kind == "pair":
             pending_pairs.append(record)
         elif kind == "cursor":
@@ -199,6 +212,7 @@ def load_checkpoint(path: Union[str, Path]) -> CheckpointState:
             # the current cursor is a duplicated transaction (a flush
             # interrupted after its bytes landed, then re-appended) and
             # replaying its pairs again would corrupt the resumed state.
+            state.committed_bytes = end
             if record["iteration"] <= state.cursor[0]:
                 pending_pairs = []
                 continue
@@ -209,8 +223,21 @@ def load_checkpoint(path: Union[str, Path]) -> CheckpointState:
             state.pairs.extend(pending_pairs)
             pending_pairs = []
             state.final = record
+            state.committed_bytes = end
         # Unknown kinds are skipped: forward-compatible within a version.
     return state
+
+
+def truncate_uncommitted(path: Union[str, Path], state: CheckpointState) -> None:
+    """Durably cut a journal back to its last committed record.
+
+    Drops the uncommitted or torn tail :func:`load_checkpoint` skipped,
+    so records appended afterwards are readable again.
+    """
+    with open(path, "rb+") as fh:
+        fh.truncate(state.committed_bytes)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 class CheckpointWriter:

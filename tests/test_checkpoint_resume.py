@@ -11,6 +11,9 @@ iterations with thirteen selected pairs; s27 at the paper's defaults
 finishes at TS0 and would never exercise the loop.
 """
 
+import dataclasses
+import glob
+import itertools
 import json
 import os
 import signal
@@ -27,7 +30,7 @@ from repro.core.config import BistConfig
 from repro.core.procedure2 import resume_procedure2, run_procedure2
 from repro.experiments.serialize import result_to_dict
 from repro.faults.collapse import collapse_faults
-from repro.faults.fault_sim import FaultSimulator
+from repro.faults.pool import CandidateEvaluator
 from repro.robustness.checkpoint import (
     CheckpointError,
     CheckpointMismatchError,
@@ -62,23 +65,24 @@ def blob(result) -> str:
     return json.dumps(result_to_dict(result))
 
 
-class Interrupting:
-    """Simulator wrapper that raises KeyboardInterrupt at one dispatch."""
+def interrupted_run(circuit, config, faults, path, at: int) -> None:
+    """Run the rig checkpointed; KeyboardInterrupt at evaluation ``at``.
 
-    def __init__(self, base, at: int) -> None:
-        self.base = base
-        self.at = at
-        self.calls = 0
+    Counts candidate evaluations (one per ``(I, D1)`` window), whichever
+    back end ``config.n_jobs`` selects.
+    """
+    evaluate = CandidateEvaluator.evaluate_specs
+    calls = itertools.count()
 
-    @property
-    def chain_length(self) -> int:
-        return self.base.chain_length
-
-    def simulate_grouped(self, *args, **kwargs):
-        if self.calls == self.at:
+    def interrupting(self, specs, remaining):
+        if next(calls) == at:
             raise KeyboardInterrupt
-        self.calls += 1
-        return self.base.simulate_grouped(*args, **kwargs)
+        return evaluate(self, specs, remaining)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CandidateEvaluator, "evaluate_specs", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            run_procedure2(circuit, config, faults, checkpoint=str(path))
 
 
 class TestJournalFormat:
@@ -286,55 +290,67 @@ class TestResumeByteIdentity:
     def test_interrupt_anywhere_resumes_identically(self, rig, tmp_path, at):
         circuit, faults, clean_blob = rig
         path = tmp_path / f"j{at}.jsonl"
-        with pytest.raises(KeyboardInterrupt):
-            run_procedure2(
-                circuit, RIG_CONFIG, faults,
-                simulator=Interrupting(FaultSimulator(circuit), at),
-                checkpoint=str(path),
-            )
+        interrupted_run(circuit, RIG_CONFIG, faults, path, at)
         resumed = resume_procedure2(circuit, RIG_CONFIG, faults, str(path))
         assert blob(resumed) == clean_blob
 
     def test_parallel_interrupt_parallel_resume(self, rig, tmp_path):
         circuit, faults, clean_blob = rig
         path = tmp_path / "j.jsonl"
-        base = FaultSimulator(circuit).sharded(4)
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                run_procedure2(
-                    circuit, RIG_CONFIG, faults,
-                    simulator=Interrupting(base, 9), checkpoint=str(path),
-                )
-        finally:
-            base.close()
-        resumed = resume_procedure2(
-            circuit, RIG_CONFIG, faults, str(path), n_jobs=4
-        )
+        parallel = dataclasses.replace(RIG_CONFIG, n_jobs=4)
+        interrupted_run(circuit, parallel, faults, path, 9)
+        resumed = resume_procedure2(circuit, parallel, faults, str(path))
         assert blob(resumed) == clean_blob
 
     def test_double_resume_is_stable(self, rig, tmp_path):
         circuit, faults, clean_blob = rig
         path = tmp_path / "j.jsonl"
-        with pytest.raises(KeyboardInterrupt):
-            run_procedure2(
-                circuit, RIG_CONFIG, faults,
-                simulator=Interrupting(FaultSimulator(circuit), 20),
-                checkpoint=str(path),
-            )
+        interrupted_run(circuit, RIG_CONFIG, faults, path, 20)
         first = resume_procedure2(circuit, RIG_CONFIG, faults, str(path))
         again = resume_procedure2(
             circuit, RIG_CONFIG, faults, str(path), simulator=object()
         )
         assert blob(first) == blob(again) == clean_blob
 
+    def test_resume_heals_torn_tail_at_every_line(self, rig, tmp_path):
+        """A torn append, then resume: later commits stay readable.
 
-#: Child process used by the signal tests: runs the rig checkpointed,
-#: with every simulation call slowed so the parent can reliably land a
-#: signal mid-run.  argv: <src-dir> <journal> <n_jobs> <sleep-seconds>.
+        Tears the recorded journal at every line boundary after the
+        header (complete lines, possibly an uncommitted ``pair`` tail),
+        inside every such line (half of it reached the disk), and once
+        just before the final record's newline.  Each resume must finish
+        the run and leave a journal that replays to the clean cursor,
+        all 13 pairs and a ``final`` record -- byte for byte the clean
+        journal.
+        """
+        circuit, faults, clean_blob = rig
+        clean_path = tmp_path / "clean.jsonl"
+        run_procedure2(circuit, RIG_CONFIG, faults, checkpoint=str(clean_path))
+        data = clean_path.read_bytes()
+        clean = load_checkpoint(clean_path)
+        ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        cuts = [end + (nxt - end) // 2 for end, nxt in zip(ends, ends[1:])]
+        cuts += ends[1:-1]
+        cuts.append(ends[-1] - 1)
+        for cut in cuts:
+            path = tmp_path / f"torn{cut}.jsonl"
+            path.write_bytes(data[:cut])
+            resumed = resume_procedure2(circuit, RIG_CONFIG, faults, str(path))
+            assert blob(resumed) == clean_blob
+            state = load_checkpoint(path)
+            assert state.cursor == clean.cursor, f"tear at byte {cut}"
+            assert len(state.pairs) == 13 and state.final is not None
+            assert path.read_bytes() == data
+
+
+#: Child process used by the signal tests: runs the rig checkpointed on
+#: ``n_jobs`` workers, with every checkpoint commit paced so the parent
+#: can reliably land a signal mid-run.
+#: argv: <src-dir> <journal> <n_jobs> <commit-delay-seconds>.
 CHILD_SCRIPT = """\
-import sys, time
+import sys
 
-src, journal, n_jobs, sleep = (
+src, journal, n_jobs, delay = (
     sys.argv[1], sys.argv[2], int(sys.argv[3]), float(sys.argv[4])
 )
 sys.path.insert(0, src)
@@ -343,32 +359,14 @@ from repro.bench_circuits.synthetic import SyntheticSpec, synthesize
 from repro.core.config import BistConfig
 from repro.core.procedure2 import run_procedure2
 from repro.faults.collapse import collapse_faults
-from repro.faults.fault_sim import FaultSimulator
+from repro.robustness.chaos import install_commit_bomb
 
 circuit = synthesize(SyntheticSpec(
     name="mini208", n_pi=10, n_po=1, n_ff=8, n_gates=96, seed=5))
-config = BistConfig(la=2, lb=4, n=2, n_same_fc=2, max_iterations=8)
-faults = collapse_faults(circuit)
-
-
-class SlowSim:
-    def __init__(self, base):
-        self.base = base
-
-    @property
-    def chain_length(self):
-        return self.base.chain_length
-
-    def simulate_grouped(self, *args, **kwargs):
-        time.sleep(sleep)
-        return self.base.simulate_grouped(*args, **kwargs)
-
-
-base = FaultSimulator(circuit)
-if n_jobs > 1:
-    base = base.sharded(n_jobs)
-run_procedure2(circuit, config, faults,
-               simulator=SlowSim(base), checkpoint=journal)
+config = BistConfig(la=2, lb=4, n=2, n_same_fc=2, max_iterations=8,
+                    n_jobs=n_jobs)
+install_commit_bomb(None, commit_delay_s=delay)
+run_procedure2(circuit, config, collapse_faults(circuit), checkpoint=journal)
 print("DONE", flush=True)
 """
 
@@ -383,7 +381,7 @@ class TestSignalResume:
         src = str(Path(repro.__file__).resolve().parents[1])
         proc = subprocess.Popen(
             [sys.executable, str(script), src, str(journal),
-             str(n_jobs), "0.08"],
+             str(n_jobs), "0.3"],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         try:
@@ -407,6 +405,13 @@ class TestSignalResume:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+        # A killed child's pool segment is unlinked by the resource
+        # tracker that outlives it, once its orphaned workers exit.
+        segments = f"/dev/shm/rlspool_*_{proc.pid}_*"
+        deadline = time.perf_counter() + 30.0
+        while glob.glob(segments) and time.perf_counter() < deadline:
+            time.sleep(0.05)
+        assert not glob.glob(segments), "killed child leaked its segment"
         return journal
 
     @pytest.mark.parametrize("n_jobs", [1, 4])

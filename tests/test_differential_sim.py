@@ -3,8 +3,10 @@
 Seeded random circuits and random limited-scan schedules are simulated
 through
 
-1. the compiled bit-parallel fault simulator (the serial reference),
-2. the fault-sharded parallel simulator built on top of it, and
+1. the compiled per-test fault simulator (``simulate``, the serial
+   reference),
+2. grouped simulation (``simulate_grouped``), which runs on the batched
+   candidate kernel shared with the worker pool, and
 3. a scalar oracle built on the event-driven simulator, which shares no
    evaluation code with the compiled engine: each fault becomes a
    *mutated circuit* (the faulty net's driver replaced by a constant
@@ -12,9 +14,9 @@ through
    difference in the observation stream (PO values per time unit, bits
    leaving during limited scans, the final scan-out).
 
-All three must report the identical detection set on every case.  This
-is the correctness guard for the parallel sharding layer: bit-exact
-equivalence with the serial simulator is its entire contract.
+All three must report the identical detection set on every case.  The
+oracle is the only check on the batched kernel that shares no code with
+it.
 """
 
 from __future__ import annotations
@@ -165,19 +167,17 @@ def random_case(seed: int) -> Tuple[Circuit, List[ScanTest]]:
 
 @pytest.mark.parametrize("seed", range(20))
 def test_three_way_detection_sets_identical(seed):
-    """compiled serial == sharded parallel == event-sim oracle."""
+    """compiled per-test == grouped == event-sim oracle."""
     circuit, tests = random_case(seed)
     graph = FaultGraph(circuit)
     faults = collapse_faults(circuit)
     sim = FaultSimulator(graph)
 
     compiled = set(sim.simulate(tests, faults))
-    with sim.sharded(2) as psim:
-        sharded = set(psim.simulate(tests, faults))
     oracle = EventSimFaultOracle(graph).detected(tests, faults)
 
-    assert sharded == compiled
     assert oracle == compiled
+    assert set(sim.simulate_grouped(tests, faults)) == oracle
 
 
 def test_oracle_catches_an_injected_discrepancy():
@@ -208,9 +208,9 @@ def test_oracle_catches_an_injected_discrepancy():
 
 # ----------------------------------------------------------------------
 # Persistent-pool differential suite: the batched candidate evaluator
-# (in-process and through the worker pool) and the legacy sharded
-# simulator must reproduce the serial ``simulate_grouped`` result --
-# same detections, same insertion order -- on every seeded case.
+# (in-process and sharded across the worker pool) must reproduce the
+# serial ``simulate_grouped`` result -- same detections, same insertion
+# order -- on every seeded case.
 # ----------------------------------------------------------------------
 import dataclasses
 import json
@@ -242,7 +242,7 @@ def _pool_case(seed: int):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_pool_vs_serial_vs_sharded_identical(seed):
-    """Candidate tables from the pool evaluator == serial == sharded."""
+    """Candidate tables from the fault-sharded pool evaluator == serial."""
     circuit, cfg, ts0, faults = _pool_case(seed)
     sim = FaultSimulator(circuit)
     n_sv = circuit.num_state_vars
@@ -275,11 +275,6 @@ def test_pool_vs_serial_vs_sharded_identical(seed):
             assert list(hits.items()) == list(serial[spec].items())
     finally:
         evaluator.close()
-
-    with sim.sharded(2) as psim:
-        for spec, tests in built.items():
-            sharded = psim.simulate_grouped(tests, faults)
-            assert set(sharded) == set(serial[spec])
 
 
 class TestProcedure2PoolByteIdentity:
@@ -320,8 +315,8 @@ class TestProcedure2PoolByteIdentity:
                 f"journal diverged at n_jobs={jobs} batch={batch}"
             )
 
-    def test_legacy_sharded_mode_still_matches(self, s27):
-        faults = collapse_faults(s27)
-        baseline = self._run(s27, faults, self.CFG)
-        cfg = dataclasses.replace(self.CFG, n_jobs=2, pool="sharded")
-        assert self._run(s27, faults, cfg) == baseline
+    def test_sharded_pool_is_rejected(self):
+        # The per-dispatch sharded executor is gone; the persistent pool
+        # is the only parallel back end.
+        with pytest.raises(ValueError, match="persistent"):
+            dataclasses.replace(self.CFG, n_jobs=2, pool="sharded")

@@ -1,13 +1,16 @@
-"""The fault-sharded parallel simulation layer.
+"""The persistent pool's fault-sharded dispatch.
 
-Covers the sharding helpers, bit-exact equivalence with the serial
-simulator, the deterministic merge order, graceful degradation to the
-serial path, the PPSFP fault split, and the n_jobs=1-vs-4 determinism
-regression on Procedure 2 (byte-identical serialized results).
+Covers the sharding helpers, bit-exact equivalence of multi-shard pool
+dispatches with serial ``simulate_grouped`` (and of sharded PPSFP with
+serial PPSFP), graceful degradation to
+in-process evaluation, the publish-once discipline, and the
+n_jobs=1-vs-4 determinism regression on Procedure 2 (byte-identical
+serialized results).
 """
 
 import dataclasses
 import json
+import pickle
 import warnings
 
 import numpy as np
@@ -15,22 +18,47 @@ import pytest
 
 from repro.bench_circuits.synthetic import SyntheticSpec, synthesize
 from repro.core.config import BistConfig
+from repro.core.limited_scan import build_limited_scan_test_set
 from repro.core.procedure2 import run_procedure2
 from repro.core.test_set import generate_ts0
 from repro.experiments.serialize import result_to_dict
-from repro.faults import sharding
+from repro.faults import pool as pool_mod
 from repro.faults.collapse import collapse_faults
 from repro.faults.fault_sim import FaultSimulator, ObservationPolicy
 from repro.faults.model import FaultGraph
+from repro.faults.pool import CandidateEvaluator
 from repro.faults.ppsfp import CombinationalFaultSimulator, pack_patterns
-from repro.faults.sharding import (
-    ShardedFaultSimulator,
-    resolve_n_jobs,
-    shard_faults,
-)
+from repro.faults.sharding import resolve_n_jobs, shard_faults
 from repro.rpg.prng import make_source
 from repro.simulation.compiled import shard_word_ranges
-from tests.test_fault_sim_grouped import mixed_tests
+
+#: Small TS0 shape shared by the pool cases below.
+CFG = BistConfig(la=4, lb=8, n=4)
+
+
+def make_evaluator(circuit, faults, policy=None, n_jobs=2, shards=3):
+    """A pool evaluator forced to multi-shard dispatches on any host."""
+    ts0 = generate_ts0(circuit, CFG)
+    return CandidateEvaluator(
+        FaultSimulator(circuit), ts0, CFG, circuit.num_state_vars, policy,
+        n_jobs=n_jobs, targets=faults, circuit_name=circuit.name,
+        shards=shards,
+    )
+
+
+def serial_hits(circuit, spec, faults, policy=None):
+    """The serial ``simulate_grouped`` result for one candidate spec."""
+    ts0 = generate_ts0(circuit, CFG)
+    tests = (
+        ts0 if spec[1] is None
+        else build_limited_scan_test_set(
+            ts0, spec[0], spec[1], CFG, circuit.num_state_vars
+        )
+    )
+    return FaultSimulator(circuit).simulate_grouped(tests, faults, policy)
+
+
+SPECS = [(0, None), (1, 1), (1, 2)]
 
 
 class TestShardHelpers:
@@ -79,127 +107,111 @@ class TestShardHelpers:
 
 
 class TestShardedEquivalence:
-    def test_simulate_records_identical(self, s27):
-        sim = FaultSimulator(s27)
-        faults = collapse_faults(s27)
-        tests = mixed_tests(s27, 31)
-        serial = sim.simulate(tests, faults)
-        with sim.sharded(3) as psim:
-            parallel = psim.simulate(tests, faults)
-        assert parallel == serial
-        # The merged dict preserves the serial first-detection order.
-        assert list(parallel) == list(serial)
+    def test_simulate_records_identical(self, medium_synth):
+        faults = collapse_faults(medium_synth)
+        assert len(faults) > 128  # three real shards
+        with make_evaluator(medium_synth, faults) as ev:
+            tables = ev.evaluate_specs(SPECS, faults)
+        for spec, table in zip(SPECS, tables):
+            serial = serial_hits(medium_synth, spec, faults)
+            hits = table.hits_for(faults)
+            # Content, insertion order and aliasing all match.
+            assert list(hits.items()) == list(serial.items())
+            assert pickle.dumps(hits) == pickle.dumps(serial)
 
     def test_simulate_grouped_sets_identical(self, medium_synth):
-        sim = FaultSimulator(medium_synth)
+        # A table scored against the dispatch-time list answers for any
+        # later, smaller remaining list exactly like a fresh serial call.
         faults = collapse_faults(medium_synth)
-        tests = mixed_tests(medium_synth, 7)
-        serial = sim.simulate_grouped(tests, faults)
-        with sim.sharded(2) as psim:
-            parallel = psim.simulate_grouped(tests, faults)
-        assert set(parallel) == set(serial)
-
-    def test_restricted_policy(self, s27):
-        sim = FaultSimulator(s27)
-        faults = collapse_faults(s27)
-        tests = mixed_tests(s27, 13)
-        policy = ObservationPolicy(limited_scan_out=False)
-        with sim.sharded(2) as psim:
-            assert psim.simulate(tests, faults, policy) == sim.simulate(
-                tests, faults, policy
+        shrunk = faults[::3]
+        with make_evaluator(medium_synth, faults) as ev:
+            tables = ev.evaluate_specs(SPECS, faults)
+        for spec, table in zip(SPECS, tables):
+            assert list(table.hits_for(shrunk).items()) == list(
+                serial_hits(medium_synth, spec, shrunk).items()
             )
 
-    def test_n_jobs_1_bypasses_pool(self, s27):
-        sim = FaultSimulator(s27)
-        psim = sim.sharded(1)
-        faults = collapse_faults(s27)
-        tests = mixed_tests(s27, 3)
-        assert psim.simulate(tests, faults) == sim.simulate(tests, faults)
-        assert psim._pool is None
-        psim.close()
+    def test_restricted_policy(self, medium_synth):
+        faults = collapse_faults(medium_synth)
+        for policy in (
+            ObservationPolicy(limited_scan_out=False),
+            ObservationPolicy(primary_outputs=False, state_taps=[0, 7]),
+        ):
+            with make_evaluator(medium_synth, faults, policy) as ev:
+                tables = ev.evaluate_specs(SPECS, faults)
+            for spec, table in zip(SPECS, tables):
+                assert table.hits_for(faults) == serial_hits(
+                    medium_synth, spec, faults, policy
+                )
+
+    def test_n_jobs_1_bypasses_pool(self, medium_synth):
+        faults = collapse_faults(medium_synth)
+        with make_evaluator(medium_synth, faults, n_jobs=1) as ev:
+            tables = ev.evaluate_specs(SPECS, faults)
+            assert ev._pool is None
+        for spec, table in zip(SPECS, tables):
+            assert table.hits_for(faults) == serial_hits(
+                medium_synth, spec, faults
+            )
 
     def test_detected_by_universe_order(self, s27):
-        sim = FaultSimulator(s27)
+        # The pooled TS0 table detects exactly what the per-test path
+        # does; in universe order the two lists are equal.
         faults = collapse_faults(s27)
-        tests = mixed_tests(s27, 5)
-        with sim.sharded(2) as psim:
-            assert psim.detected_by(tests, faults) == sim.detected_by(
-                tests, faults
-            )
+        with make_evaluator(s27, faults, shards=1) as ev:
+            hits = ev.evaluate_ts0(faults).hits_for(faults)
+        pooled = [f for f in faults if f in hits]
+        assert pooled == FaultSimulator(s27).detected_by(
+            generate_ts0(s27, CFG), faults
+        )
 
 
 class TestGracefulDegradation:
     def test_pool_failure_falls_back_to_serial(self, medium_synth, monkeypatch):
-        class BrokenPool:
-            def __init__(self, *a, **k):
-                raise OSError("fork failed")
-
-        monkeypatch.setattr(sharding, "SimulatorPool", BrokenPool)
-        sim = FaultSimulator(medium_synth)
-        faults = collapse_faults(medium_synth)  # > 64 faults: real sharding
-        assert len(faults) > 64
-        tests = mixed_tests(medium_synth, 11)
-        with ShardedFaultSimulator(sim, 2) as psim:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # no more RuntimeWarning API
-                records = psim.simulate(tests, faults)
-            assert records == sim.simulate(tests, faults)
-            # The failure is structured, not a warning: one
-            # pool-unavailable event per pending shard, resolved serially.
-            assert psim.degradation.degraded
-            events = psim.degradation.events
-            assert {e.kind for e in events} == {"pool-unavailable"}
-            assert {e.action for e in events} == {"serial"}
-            assert len(events) == 2
-            # After a pool-level failure the front-end stays serial,
-            # without growing the report further.
-            again = psim.simulate(tests, faults)
-            assert again == records
-            assert len(psim.degradation.events) == 2
-
-    def test_ppsfp_failure_falls_back(self, s27, monkeypatch):
-        class BrokenPool:
-            def __init__(self, *a, **k):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *a):
-                pass
-
-            def map_method(self, *a, **k):
-                raise RuntimeError("no fork for you")
-
-        monkeypatch.setattr(sharding, "SimulatorPool", BrokenPool)
-        graph = FaultGraph(s27)
-        csim = CombinationalFaultSimulator(graph)
-        faults = collapse_faults(s27)
-        src = make_source(3)
-        patterns = np.array(
-            [src.bits(csim.num_inputs) for _ in range(32)], dtype=np.uint8
+        faults = collapse_faults(medium_synth)
+        ev = make_evaluator(medium_synth, faults)
+        monkeypatch.setattr(
+            ev, "_make_pool",
+            lambda: (_ for _ in ()).throw(OSError("fork failed")),
         )
-        words = pack_patterns(patterns)
-        mask = np.full(1, np.uint64(0xFFFFFFFF))
-        serial = csim.detected(words, faults, mask)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            parallel = csim.detected(words, faults, mask, n_jobs=2)
-        assert parallel == serial
+        with ev:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # structured, not a warning
+                tables = ev.evaluate_specs(SPECS, faults)
+            for spec, table in zip(SPECS, tables):
+                assert table.hits_for(faults) == serial_hits(
+                    medium_synth, spec, faults
+                )
+            # One pool-unavailable event per pending shard, resolved
+            # serially.
+            events = ev.degradation.events
+            assert {(e.kind, e.action) for e in events} == {
+                ("pool-unavailable", "serial")
+            }
+            assert len(events) == 3
+            # After a pool-level failure the evaluator stays in-process,
+            # without growing the report further.
+            ev.evaluate_specs(SPECS, faults)
+            assert len(ev.degradation.events) == 3
 
 
 class TestPpsfpSharded:
     def test_same_hits_same_order(self, s27):
+        # Faults are independent in the parallel-fault model: PPSFP over
+        # word-aligned shards, concatenated, is the serial result.
         graph = FaultGraph(s27)
         csim = CombinationalFaultSimulator(graph)
-        faults = collapse_faults(s27)
+        faults = collapse_faults(s27) * 3  # 96 faults -> two words
         src = make_source(9)
         patterns = np.array(
             [src.bits(csim.num_inputs) for _ in range(64)], dtype=np.uint8
         )
         words = pack_patterns(patterns)
         serial = csim.detected(words, faults)
-        parallel = csim.detected(words, faults, n_jobs=2)
-        assert parallel == serial
+        shards = shard_faults(faults, 2)
+        assert len(shards) == 2
+        merged = [f for shard in shards for f in csim.detected(words, shard)]
+        assert merged == serial
 
 
 class TestProcedure2Determinism:
@@ -243,80 +255,64 @@ class TestProcedure2Determinism:
 
 class TestTs0Parallel:
     def test_ts0_detection_counts_match(self, s27):
-        cfg = BistConfig(la=4, lb=8, n=8)
-        ts0 = generate_ts0(s27, cfg)
-        sim = FaultSimulator(s27)
         faults = collapse_faults(s27)
-        serial = sim.simulate_grouped(ts0, faults)
-        with sim.sharded(4) as psim:
-            parallel = psim.simulate_grouped(ts0, faults)
-        assert set(parallel) == set(serial)
+        with make_evaluator(s27, faults, n_jobs=4) as ev:
+            hits = ev.evaluate_ts0(faults).hits_for(faults)
+        assert hits == serial_hits(s27, (0, None), faults)
 
 
 class TestPicklingDiscipline:
-    """The simulator is serialized exactly once per pool lifetime.
+    """The session state is serialized exactly once per evaluator.
 
-    Historically the serial-rescue path re-pickled the compiled circuit
-    on every fallback dispatch; ``SimulatorPool`` now serializes lazily
-    and exactly once, and a respawn after ``kill()`` reuses the cached
-    payload.  These tests pin that discipline via ``pickle_count``.
+    The persistent pool publishes the simulator, ``TS0`` and the target
+    list into one shared-memory segment; dispatches, respawns and serial
+    rescues must never serialize it again.
     """
 
-    def test_pickled_once_across_dispatches_and_respawn(self, medium_synth):
-        sim = FaultSimulator(medium_synth)
-        faults = collapse_faults(medium_synth)
-        assert len(faults) > 64  # at least two shards: the pool spawns
-        tests = mixed_tests(medium_synth, 3)
-        with sim.sharded(2) as psim:
-            psim.simulate(tests, faults)
-            psim.simulate(tests, faults)
-            pool = psim._pool
-            assert pool is not None
-            assert pool.pickle_count == 1
-            pool.kill()  # respawn on the next dispatch
-            psim.simulate(tests, faults)
-            assert pool.pickle_count == 1
-
-    def test_unused_pool_never_pickles(self, s27):
-        pool = sharding.SimulatorPool(FaultSimulator(s27), 2)
-        try:
-            assert pool.pickle_count == 0
-        finally:
-            pool.close()
-
-    def test_persistent_pool_publishes_once(self, s27):
-        """The pool evaluator's session state is serialized exactly once
-        (at segment publication), regardless of dispatch count."""
-        import pickle as _pickle
-
-        from repro.core.limited_scan import build_limited_scan_test_set
-        from repro.faults.pool import CandidateEvaluator
-
-        cfg = BistConfig(la=4, lb=8, n=8, n_jobs=2, candidate_batch=4)
-        sim = FaultSimulator(s27)
-        faults = collapse_faults(s27)
-        ts0 = generate_ts0(s27, cfg)
+    @staticmethod
+    def _count_publications(monkeypatch):
         counts = {"n": 0}
-        real_dumps = _pickle.dumps
+        real_dumps = pool_mod.pickle.dumps
 
         def counting_dumps(obj, *a, **k):
             if isinstance(obj, dict) and "simulator" in obj:
                 counts["n"] += 1
             return real_dumps(obj, *a, **k)
 
+        monkeypatch.setattr(pool_mod.pickle, "dumps", counting_dumps)
+        return counts
+
+    def test_pickled_once_across_dispatches_and_respawn(
+        self, medium_synth, monkeypatch
+    ):
+        faults = collapse_faults(medium_synth)
+        counts = self._count_publications(monkeypatch)
+        with make_evaluator(medium_synth, faults) as ev:
+            ev.evaluate_specs(SPECS, faults)
+            ev.evaluate_specs(SPECS, faults)
+            assert counts["n"] == 1
+            ev._pool.kill()  # respawn on the next dispatch
+            ev.evaluate_specs(SPECS, faults)
+            assert counts["n"] == 1
+
+    def test_unused_pool_never_pickles(self, s27, monkeypatch):
+        counts = self._count_publications(monkeypatch)
+        with make_evaluator(s27, collapse_faults(s27)) as ev:
+            assert ev._pool is None
+        assert counts["n"] == 0
+
+    def test_persistent_pool_publishes_once(self, s27, monkeypatch):
+        """The pool evaluator's session state is serialized exactly once
+        (at segment publication), regardless of dispatch count."""
+        cfg = BistConfig(la=4, lb=8, n=8, n_jobs=2, candidate_batch=4)
+        faults = collapse_faults(s27)
         ev = CandidateEvaluator(
-            sim, ts0, cfg, s27.num_state_vars, None,
+            FaultSimulator(s27), generate_ts0(s27, cfg), cfg,
+            s27.num_state_vars, None,
             n_jobs=2, targets=faults, circuit_name=s27.name,
         )
-        specs = [(1, d1) for d1 in cfg.d1_values[:4]]
-        from repro.faults import pool as pool_mod
-        original = pool_mod.pickle.dumps
-        pool_mod.pickle.dumps = counting_dumps
-        try:
-            with ev:
-                ev.evaluate_specs(specs, faults)
-                ev.evaluate_specs([(2, d1) for d1 in cfg.d1_values[:4]],
-                                  faults)
-        finally:
-            pool_mod.pickle.dumps = original
+        counts = self._count_publications(monkeypatch)
+        with ev:
+            ev.evaluate_specs([(1, d1) for d1 in cfg.d1_values[:4]], faults)
+            ev.evaluate_specs([(2, d1) for d1 in cfg.d1_values[:4]], faults)
         assert counts["n"] <= 1

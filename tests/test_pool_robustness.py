@@ -1,8 +1,8 @@
 """Chaos injection against the persistent worker pool.
 
-The persistent pool must survive the same failure modes the legacy
-sharded executor does -- worker crash, hang, corrupted payload, task
-error, retry exhaustion, an unusable pool -- with shard-granular
+The persistent pool must survive every failure mode of a worker --
+crash, hang, corrupted payload, task error, retry exhaustion, an
+unusable pool -- with shard-granular
 recovery and a final result identical to the serial run.  On top of
 that it owns a shared-memory segment whose lifetime must end with the
 evaluator on *every* path, including SIGKILLed workers.
