@@ -44,7 +44,7 @@ class CompileCache:
     """
 
     #: Bump when the stored state's layout changes incompatibly.
-    FORMAT_VERSION = 1
+    FORMAT_VERSION = 2
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)

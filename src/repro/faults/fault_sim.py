@@ -16,6 +16,7 @@ test a detected fault keeps simulating, which is harmless).
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -29,6 +30,11 @@ from repro.simulation.scan import bit_to_word, full_scan_state, limited_shift
 
 #: One limited-scan step: (shift_amount, fill_bits).
 ScheduleStep = Tuple[int, Sequence[int]]
+
+#: Column budget of one batched pass (``n_tests * n_groups`` per
+#: candidate).  Chunking decides first-detection attribution, so every
+#: caller -- serial and pooled -- must use this one value.
+MAX_COLS = 4096
 
 
 @dataclass
@@ -148,11 +154,12 @@ class FaultSimulator:
         self.chain = np.array(chain, dtype=np.intp)
 
     def __getstate__(self) -> dict:
-        # The injection cache is a per-process working set keyed by
-        # object identity; never ship it through pickle (shared-memory
-        # publication, worker dispatch).
+        # The injection cache and the signal memo are per-process
+        # working sets keyed by object identity; never ship them through
+        # pickle (shared-memory publication, worker dispatch).
         state = self.__dict__.copy()
         state.pop("_cand_inj_cache", None)
+        state.pop("_sig_memo", None)
         return state
 
     @property
@@ -214,7 +221,7 @@ class FaultSimulator:
         tests: Sequence[ScanTest],
         faults: Sequence[Fault],
         policy: Optional[ObservationPolicy] = None,
-        max_cols: int = 4096,
+        max_cols: int = MAX_COLS,
     ) -> Dict[Fault, DetectionRecord]:
         """Fast path: batch tests with identical (length, schedule).
 
@@ -251,6 +258,7 @@ class FaultSimulator:
                 )
                 rank += 1
                 if rows[0]:
+                    keep = [True] * len(remaining)
                     for fault_pos, _rank, test_index, time_unit, where in rows[0]:
                         fault = remaining[fault_pos]
                         detected[fault] = DetectionRecord(
@@ -259,7 +267,8 @@ class FaultSimulator:
                             time_unit=time_unit,
                             where=where,
                         )
-                    remaining = [f for f in remaining if f not in detected]
+                        keep[fault_pos] = False
+                    remaining = list(itertools.compress(remaining, keep))
         return detected
 
     # ------------------------------------------------------------------
@@ -290,7 +299,7 @@ class FaultSimulator:
         self,
         test_sets: Sequence[Sequence[ScanTest]],
         n_faults: int,
-        max_cols: int = 4096,
+        max_cols: int = MAX_COLS,
     ) -> bool:
         """Whether :meth:`simulate_candidates` can reproduce the serial
         result exactly for these candidates against ``n_faults`` targets.
@@ -320,7 +329,7 @@ class FaultSimulator:
         test_sets: Sequence[Sequence[ScanTest]],
         faults: Sequence[Fault],
         policy: Optional[ObservationPolicy] = None,
-        max_cols: int = 4096,
+        max_cols: int = MAX_COLS,
     ) -> Optional[List[List[tuple]]]:
         """Score several candidate test sets against ``faults`` at once.
 
@@ -398,18 +407,66 @@ class FaultSimulator:
         hit = cache.get(key)
         if hit is not None:
             return hit[1]
-        entries = []
-        G = len(groups)
-        for g, group in enumerate(groups):
-            for bit, fault in enumerate(group):
-                sig_idx = self.graph.signal_of(fault)
-                for t in range(nT):
-                    entries.append((sig_idx, t * G + g, bit, fault.value))
-        base_inj = Injections.build(entries, self.model.level_of_signal)
+        base_inj = Injections.build(
+            self._injection_entries(groups, nT), self.model.level_of_signal
+        )
         while len(cache) >= 4:
             cache.pop(next(iter(cache)))
         cache[key] = (flat, base_inj)
         return base_inj
+
+    def _injection_entries(
+        self, groups: List[List[Fault]], nT: int
+    ) -> np.ndarray:
+        """``Injections.build`` rows for ``groups`` x ``nT`` tests.
+
+        Fault ``bit`` of group ``g`` sits at bit ``bit`` of word
+        ``t * G + g`` for every test ``t``; returns an ``(n, 4)`` array.
+        """
+        sizes = [len(group) for group in groups]
+        flat = [f for group in groups for f in group]
+        sig, value = self._fault_signals(flat)
+        word = np.repeat(np.arange(len(groups)), sizes)
+        bit = np.arange(len(flat)) - np.repeat(
+            np.cumsum([0] + sizes[:-1]), sizes
+        )
+        entries = np.empty((nT, len(flat), 4), dtype=np.intp)
+        entries[:, :, 0] = sig
+        entries[:, :, 1] = np.arange(nT)[:, None] * len(groups) + word
+        entries[:, :, 2] = bit
+        entries[:, :, 3] = value
+        return entries.reshape(-1, 4)
+
+    def _fault_signals(
+        self, faults: Sequence[Fault]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Simulation signal and stuck value of each fault, as arrays.
+
+        Each fault object is resolved once per simulator: ``signal_of``
+        costs about 1.5 us a fault, 40 ms per build over s13207's
+        collapsed list, and Procedure 2 rebuilds over the same objects as
+        faults drop.  The memo is keyed by identity and pins the fault,
+        so an ``id`` can never be recycled while its entry lives.  Every
+        fault is a stuck value on one signal, so one fault universe has
+        at most ``2 * n_signals`` members; a memo holding more than two
+        universes' worth of objects holds lists that were dropped, and
+        is cleared.  Never pickled.
+        """
+        memo = getattr(self, "_sig_memo", None)
+        if memo is None or len(memo) > 4 * self.model.n_signals:
+            memo = self._sig_memo = {}
+        signal_of = self.graph.signal_of
+        sigs = []
+        for fault in faults:
+            hit = memo.get(id(fault))
+            if hit is None:
+                hit = memo[id(fault)] = (fault, signal_of(fault))
+            sigs.append(hit[1])
+        values = [fault.value for fault in faults]
+        return (
+            np.array(sigs, dtype=np.intp),
+            np.array(values, dtype=np.intp),
+        )
 
     def _simulate_candidate_batch(
         self,
@@ -698,11 +755,9 @@ class FaultSimulator:
         model = self.model
         taps = policy.tap_rows()
         n_words = len(groups)
-        entries = []
-        for word, group in enumerate(groups):
-            for bit, fault in enumerate(group):
-                entries.append(self.graph.injection_entry(fault, word, bit))
-        injections = Injections.build(entries, model.level_of_signal)
+        injections = Injections.build(
+            self._injection_entries(groups, 1), model.level_of_signal
+        )
 
         state = self._initial_state(test.si, n_words)
         # A fault on a flop's Q net must corrupt what the combinational

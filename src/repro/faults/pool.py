@@ -72,6 +72,7 @@ from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.fault_sim import (
+    MAX_COLS,
     DetectionRecord,
     ObservationPolicy,
     ScanTest,
@@ -117,10 +118,6 @@ CandidateSpec = Tuple[int, Optional[int]]
 
 #: Cache bound on built ``TS(I, D1)`` test sets (worker and parent side).
 _TS_CACHE_LIMIT = 64
-
-#: Column budget of the batched pass; must match the
-#: ``simulate_candidates``/``candidates_compatible`` default.
-_MAX_COLS = 4096
 
 
 def reconstruct_hits(
@@ -244,7 +241,7 @@ def _evaluate_spec(
     test_sets = _candidate_test_sets(state, specs)
     faults = [state["targets"][j] for j in fault_indices]
     rows = simulator.simulate_candidates(
-        test_sets, faults, state["policy"], max_cols=_MAX_COLS
+        test_sets, faults, state["policy"], max_cols=MAX_COLS
     )
     if rows is None:  # pragma: no cover - parent pre-checks compatibility
         raise RuntimeError(
@@ -570,13 +567,13 @@ class CandidateEvaluator:
             return False
         if getattr(self.config, "reseed_per_test", False):
             n_groups = (n_faults + 63) // 64
-            chunk_tests = max(1, _MAX_COLS // max(n_groups, 1))
+            chunk_tests = max(1, MAX_COLS // max(n_groups, 1))
             return all(
                 len(idx) <= chunk_tests for idx in self._length_partition()
             )
         test_sets = [self._tests_for(spec) for spec in specs]
         return self.simulator.candidates_compatible(
-            test_sets, n_faults, max_cols=_MAX_COLS
+            test_sets, n_faults, max_cols=MAX_COLS
         )
 
     # ------------------------------------------------------------------
@@ -618,7 +615,7 @@ class CandidateEvaluator:
                 return lazy()
             test_sets = [self._tests_for(spec) for spec in specs]
             rows = self.simulator.simulate_candidates(
-                test_sets, remaining, self.policy, max_cols=_MAX_COLS
+                test_sets, remaining, self.policy, max_cols=MAX_COLS
             )
             if rows is None:
                 return lazy()
@@ -657,7 +654,7 @@ class CandidateEvaluator:
     ) -> List[List[DetectionRow]]:
         test_sets = [self._tests_for(spec) for spec in specs]
         rows = self.simulator.simulate_candidates(
-            test_sets, shard, self.policy, max_cols=_MAX_COLS
+            test_sets, shard, self.policy, max_cols=MAX_COLS
         )
         if rows is None:  # pragma: no cover - compatibility is monotone
             raise RuntimeError(

@@ -1,8 +1,9 @@
 """Bit-parallel logic simulation with functional scan.
 
-- :mod:`repro.simulation.compiled` -- a circuit compiled into per-level,
-  per-gate-type vectorized numpy kernels over ``uint64`` words (every bit
-  of a word is an independent machine copy),
+- :mod:`repro.simulation.compiled` -- a circuit compiled into an
+  evaluation plan of per-level ``(op, inverted)`` steps, run as vectorized
+  numpy gathers and ufuncs over ``uint64`` words (every bit of a word is
+  an independent machine copy),
 - :mod:`repro.simulation.scan` -- functional scan-chain operations,
   including the paper's *limited scan* shift,
 - :mod:`repro.simulation.sequential` -- fault-free simulation of

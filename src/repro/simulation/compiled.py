@@ -1,35 +1,42 @@
 """Compiled bit-parallel circuit model.
 
 A :class:`CompiledModel` turns a :class:`~repro.circuit.netlist.Circuit`
-into flat numpy arrays so that one evaluation pass touches Python only
-``O(levels * gate_types)`` times instead of ``O(gates)`` times.  Values
-live in a ``(n_signals, n_words)`` ``uint64`` matrix; every bit of every
-word is an independent machine copy (a fault machine for the parallel-fault
-simulator, a pattern for the pattern-parallel simulator).
+into a per-circuit evaluation plan over flat numpy arrays, so that one
+evaluation pass touches Python only ``O(levels + steps)`` times instead
+of ``O(gates)`` times.  Values live in a ``(n_signals, n_words)`` ``uint64``
+matrix; every bit of every word is an independent machine copy (a fault
+machine for the parallel-fault simulator, a pattern for the
+pattern-parallel simulator).
 
-The model is built *from* the struct-of-arrays netlist form
-(:meth:`Circuit.to_arrays`): kernel construction is vectorized over int32
-gate-type/fanin arrays rather than per-gate Python objects, and the model
-pickles as those flat arrays -- the object-form :class:`Circuit` and the
-name-keyed ``signal_index`` are rebuilt lazily on first access, so
-shipping a compiled model to worker processes never serializes a per-gate
-object graph.
+The plan cuts every level into *steps*, one per ``(op, inverted)`` pair
+(op: ``and``, ``or``, ``xor``, ``copy`` or ``const``).  A pass runs them
+in *blocks* sized to two fixed-size scratch buffers: a block gathers its
+two operand row sets into the scratch and combines them straight into
+its output rows when those are one contiguous range, else in the scratch
+followed by one scatter.  Small steps of a level share a block, large
+ones are cut into row chunks.  The plan is built *from* the
+struct-of-arrays netlist form (:meth:`Circuit.to_arrays`) with one stable
+sort over int32 gate-type/fanin arrays rather than per-gate Python
+objects, and the model pickles as those flat arrays -- the blocks, the
+object-form :class:`Circuit` and the name-keyed ``signal_index`` are
+rebuilt lazily on first access, so shipping a compiled model to worker
+processes never serializes a per-gate object graph.
 
 Fault injection is expressed as :class:`Injections`: per evaluation level,
-``vals[sig, word] = (vals[sig, word] & and_mask) | or_mask`` applied with a
-single fancy-indexed statement, so a stuck-at fault forces its bit both
-when the signal is produced and before anything consumes it.
+``flat[i] = (flat[i] & and_mask) | or_mask`` over flat indices
+``sig * n_words + word`` of the matrix, so a stuck-at fault forces its
+bit both when the signal is produced and before anything consumes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.circuit.levelize import levelize_arrays
-from repro.circuit.library import ALL_ONES, GATE_CODE, GateType
+from repro.circuit.library import ALL_ONES, CODE_GATE, GateType
 from repro.circuit.netlist import Circuit, NetlistArrays, circuit_from_arrays
 from repro.circuit.transform import decompose_to_two_input
 
@@ -61,36 +68,13 @@ def shard_word_ranges(n_words: int, n_shards: int) -> List[Tuple[int, int]]:
 
 
 @dataclass
-class _OpGroup:
-    """One fused kernel within a level.
-
-    Three kernel kinds cover the whole gate library (De Morgan folds the
-    OR family into AND with inversion masks):
-
-    - ``and2``: ``dst = ((s1 ^ ia) & (s2 ^ ib)) ^ io``  (AND/NAND/OR/NOR)
-    - ``xor2``: ``dst = (s1 ^ s2) ^ io``                 (XOR/XNOR)
-    - ``unary``: ``dst = s1 ^ io``                       (BUF/NOT)
-    - ``const``: ``dst = io``                            (CONST0/CONST1)
-
-    Masks are per-gate uint64 columns (0 or all-ones).
-    """
-
-    kind: str
-    dst: np.ndarray
-    src1: Optional[np.ndarray] = None
-    src2: Optional[np.ndarray] = None
-    ia: Optional[np.ndarray] = None
-    ib: Optional[np.ndarray] = None
-    io: Optional[np.ndarray] = None
-
-
-@dataclass
 class Injections:
     """Stuck-value forcing, grouped by the level at which each signal is set.
 
-    ``per_level[lvl]`` holds ``(sigs, words, and_masks, or_masks)`` arrays;
-    level 0 covers primary inputs and flop outputs, level ``k`` covers
-    signals produced by gate level ``k``.
+    ``per_level[lvl]`` holds ``(sigs, words, and_masks, or_masks)`` arrays
+    with at most one row per ``(sig, word)`` pair; level 0 covers primary
+    inputs and flop outputs, level ``k`` covers signals produced by gate
+    level ``k``.
     """
 
     per_level: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = field(
@@ -99,38 +83,33 @@ class Injections:
 
     @staticmethod
     def build(
-        entries: Sequence[Tuple[int, int, int, int]],
+        entries: Union[np.ndarray, Sequence[Tuple[int, int, int, int]]],
         level_of_signal: Sequence[int],
     ) -> "Injections":
-        """Build from ``(sig_index, word_index, bit_index, stuck_value)``.
+        """Build from ``(sig_index, word_index, bit_index, stuck_value)``
+        rows, given as a sequence of tuples or an ``(n, 4)`` integer array.
 
         Entries hitting the same (signal, word) pair are merged into one
-        mask so the fancy-indexed application never writes a location
-        twice (numpy would keep only the last write).
+        mask -- a stable sort on the pair, then ``bitwise_or.reduceat``
+        over each run -- so the flat-index application never writes a
+        location twice (numpy would keep only the last write).  A bit
+        forced to both values ends up 1, whatever the entry order.
         """
-        merged: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        for sig, word, bit, value in entries:
-            sig, word, bit = int(sig), int(word), int(bit)
-            and_mask, or_mask = merged.get((sig, word), (int(ALL_ONES), 0))
-            bitmask = 1 << bit
-            and_mask &= ~bitmask & int(ALL_ONES)
-            if value:
-                or_mask |= bitmask
-            merged[(sig, word)] = (and_mask, or_mask)
-
-        by_level: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        for (sig, word), (and_mask, or_mask) in merged.items():
-            lvl = level_of_signal[sig]
-            by_level.setdefault(lvl, []).append((sig, word, and_mask, or_mask))
-
-        inj = Injections()
-        for lvl, rows in by_level.items():
-            sigs = np.array([r[0] for r in rows], dtype=np.intp)
-            words = np.array([r[1] for r in rows], dtype=np.intp)
-            ands = np.array([r[2] for r in rows], dtype=np.uint64)
-            ors = np.array([r[3] for r in rows], dtype=np.uint64)
-            inj.per_level[lvl] = (sigs, words, ands, ors)
-        return inj
+        rows = np.asarray(entries, dtype=np.intp).reshape(-1, 4)
+        if not len(rows):
+            return Injections()
+        sig, word, bit, value = rows.T
+        key = sig * (int(word.max()) + 1) + word
+        order = np.argsort(key, kind="stable")
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        bits = np.left_shift(np.uint64(1), bit[order].astype(np.uint64))
+        cleared = np.bitwise_or.reduceat(bits, first)
+        bits[value[order] == 0] = 0
+        forced = np.bitwise_or.reduceat(bits, first)
+        pick = order[first]
+        return Injections._by_level(
+            sig[pick], word[pick], ~cleared, forced, level_of_signal
+        )
 
     @staticmethod
     def build_whole_word(
@@ -140,44 +119,80 @@ class Injections:
         """Build from ``(sig_index, word_index, stuck_value)``, forcing all
         64 bits of the word.  Used when a word models a single machine
         (e.g. the scalar faulty-machine simulation behind Table 1)."""
-        by_level: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        for sig, word, value in entries:
-            lvl = level_of_signal[sig]
-            or_mask = int(ALL_ONES) if value else 0
-            by_level.setdefault(lvl, []).append((sig, word, 0, or_mask))
+        rows = np.asarray(entries, dtype=np.intp).reshape(-1, 3)
+        sig, word, value = rows.T
+        ands = np.zeros(len(rows), dtype=np.uint64)
+        ors = np.where(value != 0, ALL_ONES, np.uint64(0))
+        return Injections._by_level(sig, word, ands, ors, level_of_signal)
+
+    @staticmethod
+    def _by_level(
+        sigs: np.ndarray,
+        words: np.ndarray,
+        ands: np.ndarray,
+        ors: np.ndarray,
+        level_of_signal: Sequence[int],
+    ) -> "Injections":
+        """Split merged rows into ``per_level`` groups (stable order)."""
+        levels = np.asarray(level_of_signal, dtype=np.intp)[sigs]
+        order = np.argsort(levels, kind="stable")
+        levels = levels[order]
+        starts = np.flatnonzero(np.diff(levels, prepend=-1)).tolist()
         inj = Injections()
-        for lvl, rows in by_level.items():
-            sigs = np.array([r[0] for r in rows], dtype=np.intp)
-            words = np.array([r[1] for r in rows], dtype=np.intp)
-            ands = np.array([r[2] for r in rows], dtype=np.uint64)
-            ors = np.array([r[3] for r in rows], dtype=np.uint64)
-            inj.per_level[lvl] = (sigs, words, ands, ors)
+        for lo, hi in zip(starts, starts[1:] + [len(levels)]):
+            idx = order[lo:hi]
+            inj.per_level[int(levels[lo])] = (
+                sigs[idx], words[idx], ands[idx], ors[idx]
+            )
         return inj
 
     def apply(self, vals: np.ndarray, level: int) -> None:
+        """Force this level's stuck bits into the C-contiguous ``vals``."""
         group = self.per_level.get(level)
         if group is None:
             return
+        if not vals.flags.c_contiguous:
+            # The flat view below would silently be a copy.
+            raise ValueError("injections need a C-contiguous value matrix")
         sigs, words, ands, ors = group
-        vals[sigs, words] = (vals[sigs, words] & ands) | ors
+        flat = sigs * vals.shape[1] + words
+        flat_vals = vals.reshape(-1)
+        forced = flat_vals.take(flat)
+        forced &= ands
+        forced |= ors
+        flat_vals.put(flat, forced)
 
     @property
     def max_level(self) -> int:
         return max(self.per_level, default=-1)
 
 
-# Gate-code partitions the fused kernels are built from.  Codes are the
-# stable ints of :data:`repro.circuit.library.GATE_CODE`.
-_CODE_AND = GATE_CODE[GateType.AND]
-_CODE_NAND = GATE_CODE[GateType.NAND]
-_CODE_OR = GATE_CODE[GateType.OR]
-_CODE_NOR = GATE_CODE[GateType.NOR]
-_CODE_XOR = GATE_CODE[GateType.XOR]
-_CODE_XNOR = GATE_CODE[GateType.XNOR]
-_CODE_NOT = GATE_CODE[GateType.NOT]
-_CODE_BUF = GATE_CODE[GateType.BUF]
-_CODE_CONST0 = GATE_CODE[GateType.CONST0]
-_CODE_CONST1 = GATE_CODE[GateType.CONST1]
+#: Step ops of the evaluation plan; a step applies one op to many gates.
+_AND, _OR, _XOR, _COPY, _CONST = range(5)
+#: Two-operand combine of each op (``None``: not a two-operand op).
+_COMBINE = (np.bitwise_and, np.bitwise_or, np.bitwise_xor, None, None)
+#: (op, inverted) of every gate type.
+_GATE_STEP = {
+    GateType.AND: (_AND, False),
+    GateType.NAND: (_AND, True),
+    GateType.OR: (_OR, False),
+    GateType.NOR: (_OR, True),
+    GateType.XOR: (_XOR, False),
+    GateType.XNOR: (_XOR, True),
+    GateType.BUF: (_COPY, False),
+    GateType.NOT: (_COPY, True),
+    GateType.CONST0: (_CONST, False),
+    GateType.CONST1: (_CONST, True),
+}
+#: ``_GATE_STEP`` as lookup tables indexed by gate code.
+_OP_OF_CODE = np.array([_GATE_STEP[g][0] for g in CODE_GATE], dtype=np.int64)
+_INV_OF_CODE = np.array([_GATE_STEP[g][1] for g in CODE_GATE], dtype=np.int64)
+
+#: Byte budget of each of the two scratch operands of one evaluation
+#: pass.  It sets how many rows a block holds (see
+#: :meth:`CompiledModel._plan_blocks`), so the gathered operands of a
+#: block stay cache-resident.
+_SCRATCH_BYTES = 256 * 1024
 
 
 class CompiledModel:
@@ -232,7 +247,7 @@ class CompiledModel:
 
         # First/second fan-in pin per gate (unused slots stay 0; arity is
         # <= 2 on this path -- wider gates were decomposed above, and the
-        # historical kernels only ever read pins 0 and 1).
+        # plan only ever reads pins 0 and 1).
         starts = arrays.fanin_offset[:-1].astype(np.int64)
         arity = np.diff(arrays.fanin_offset)
         pin0 = np.zeros(n_gates, dtype=np.int64)
@@ -243,67 +258,41 @@ class CompiledModel:
             pin0[has0] = arrays.fanin[starts[has0]]
             pin1[has1] = arrays.fanin[starts[has1] + 1]
 
-        gt = arrays.gate_type
-        ones, zero = ALL_ONES, np.uint64(0)
-        self._levels: List[List[_OpGroup]] = []
-        for lvl in range(la.depth):
-            gidx = la.order[la.level_offset[lvl] : la.level_offset[lvl + 1]]
-            codes = gt[gidx]
-            ops: List[_OpGroup] = []
-
-            m = codes <= _CODE_NOR  # AND/NAND/OR/NOR
-            if m.any():
-                g, c = gidx[m], codes[m]
-                # De Morgan: OR(a,b) = ~(~a & ~b), so the OR family gets
-                # input inversion and flipped output inversion.
-                is_or = c >= _CODE_OR
-                inverting = (c == _CODE_NAND) | (c == _CODE_NOR)
-                ia = np.where(is_or, ones, zero)
-                ops.append(
-                    _OpGroup(
-                        kind="and2",
-                        dst=sig_of_net[first_gate + g],
-                        src1=sig_of_net[pin0[g]],
-                        src2=sig_of_net[pin1[g]],
-                        ia=ia,
-                        ib=ia.copy(),
-                        io=np.where(is_or ^ inverting, ones, zero),
-                    )
-                )
-            m = (codes == _CODE_XOR) | (codes == _CODE_XNOR)
-            if m.any():
-                g, c = gidx[m], codes[m]
-                ops.append(
-                    _OpGroup(
-                        kind="xor2",
-                        dst=sig_of_net[first_gate + g],
-                        src1=sig_of_net[pin0[g]],
-                        src2=sig_of_net[pin1[g]],
-                        io=np.where(c == _CODE_XNOR, ones, zero),
-                    )
-                )
-            m = (codes == _CODE_NOT) | (codes == _CODE_BUF)
-            if m.any():
-                g, c = gidx[m], codes[m]
-                ops.append(
-                    _OpGroup(
-                        kind="unary",
-                        dst=sig_of_net[first_gate + g],
-                        src1=sig_of_net[pin0[g]],
-                        io=np.where(c == _CODE_NOT, ones, zero),
-                    )
-                )
-            m = codes >= _CODE_CONST0  # CONST0/CONST1
-            if m.any():
-                g, c = gidx[m], codes[m]
-                ops.append(
-                    _OpGroup(
-                        kind="const",
-                        dst=sig_of_net[first_gate + g],
-                        io=np.where(c == _CODE_CONST1, ones, zero),
-                    )
-                )
-            self._levels.append(ops)
+        # The evaluation plan.  Position p of the topological order
+        # produces signal first_gate + p; one stable sort on (level, op,
+        # inverted) cuts every level into steps, each holding its gates in
+        # ascending signal order.
+        order = la.order.astype(np.intp)
+        codes = arrays.gate_type[order]
+        level = np.repeat(np.arange(1, la.depth + 1), np.diff(la.level_offset))
+        op = _OP_OF_CODE[codes]
+        inverted = _INV_OF_CODE[codes]
+        key = (level * len(_COMBINE) + op) * 2 + inverted
+        perm = np.argsort(key, kind="stable")
+        start = np.flatnonzero(np.diff(key[perm], prepend=-1))
+        stop = np.append(start, n_gates)[1:]
+        # Distinct ascending rows form one range iff span == count.
+        contiguous = perm[stop - 1] - perm[start] == stop - start - 1
+        self._plan_dst = first_gate + perm
+        self._plan_src1 = sig_of_net[pin0[order[perm]]]
+        self._plan_src2 = sig_of_net[pin1[order[perm]]]
+        #: One row per step: level, op, inverted, start, stop (into the
+        #: ``_plan_*`` arrays) and the first dst row, or -1 when the dst
+        #: rows are not one ascending range.
+        self._plan_table = np.stack(
+            [
+                level[perm[start]],
+                op[perm[start]],
+                inverted[perm[start]],
+                start,
+                stop,
+                np.where(contiguous, first_gate + perm[start], -1),
+            ],
+            axis=1,
+        )
+        self._max_level_rows = int(np.diff(la.level_offset).max(initial=1))
+        #: Row budget -> per-level blocks (see :meth:`_plan_blocks`).
+        self._blocks: Dict[int, List[List[tuple]]] = {}
 
     # ------------------------------------------------------------------
     # Lazily rebuilt object-form views (dropped from pickles).
@@ -336,13 +325,96 @@ class CompiledModel:
         return self._signal_index
 
     def __getstate__(self) -> Dict[str, Any]:
-        # Ship only the flat arrays: the object-form circuit and the
-        # name-keyed maps are derived views, rebuilt on demand.
+        # Ship only the flat arrays: the object-form circuit, the
+        # name-keyed maps and the blocks are derived views, rebuilt on
+        # demand.
         state = self.__dict__.copy()
         state["_circuit"] = None
         state["_signal_names"] = None
         state["_signal_index"] = None
+        state["_blocks"] = {}
         return state
+
+    def _plan_blocks(self, rows: int) -> List[List[tuple]]:
+        """Per level, the blocks of a pass whose scratch holds ``rows``.
+
+        A block is either a run of consecutive whole steps of one level
+        that fits the scratch, or a row chunk of one step too large for
+        it.  Small steps thus share their gathers and their scatter,
+        which is what counts on narrow matrices, where the number of
+        numpy calls sets the cost; a one-step block whose dst rows are
+        contiguous writes straight into them, which is what counts on
+        wide ones, where memory traffic does.  The blocks of the last
+        four row budgets are kept.
+        """
+        blocks = self._blocks.get(rows)
+        if blocks is not None:
+            return blocks
+        blocks = [[] for _ in range(self.depth)]
+        run: List[tuple] = []
+        for step in self._plan_table.tolist():
+            lvl, op, inverted, lo, hi, first = step
+            if run and (run[0][0] != lvl or hi - run[0][3] > rows):
+                blocks[run[0][0] - 1].append(self._block(run))
+                run = []
+            if hi - lo <= rows:
+                run.append(step)
+                continue
+            for r in range(lo, hi, rows):
+                chunk_first = first + r - lo if first >= 0 else -1
+                chunk = (lvl, op, inverted, r, min(r + rows, hi), chunk_first)
+                blocks[lvl - 1].append(self._block([chunk]))
+        if run:
+            blocks[run[0][0] - 1].append(self._block(run))
+        while len(self._blocks) >= 4:
+            self._blocks.pop(next(iter(self._blocks)))
+        self._blocks[rows] = blocks
+        return blocks
+
+    def _block(self, run: List[tuple]) -> tuple:
+        """``(src1, src2, combos, const_from, inv, dst, first)`` of one
+        block over the consecutive plan rows of ``run``'s steps.
+
+        ``combos`` are ``(ufunc, i, j)`` over block rows, binary rows
+        first (the sort put them there), so ``src2`` covers only those;
+        CONST rows start at ``const_from``; ``inv`` is XORed into the
+        result (all-ones for an inverted one-step block, a per-row mask
+        column for a mixed run); ``first`` is the first dst row of a
+        one-step block whose dst rows are contiguous, else -1.
+        """
+        lo, hi = run[0][3], run[-1][4]
+        combos: List[tuple] = []
+        const_from = None
+        for _, op, _, s, e, _ in run:
+            combine = _COMBINE[op]
+            if combos and combos[-1][0] is combine:
+                combos[-1] = (combine, combos[-1][1], e - lo)
+            elif combine is not None:
+                combos.append((combine, s - lo, e - lo))
+            elif op == _CONST and const_from is None:
+                const_from = s - lo
+        n_binary = combos[-1][2] if combos else 0
+        flags = [step[2] for step in run]
+        if len(run) == 1:
+            first = run[0][5]
+            inv = ALL_ONES if flags[0] else None
+        else:
+            first = -1
+            inv = None
+            if any(flags):
+                inv = np.repeat(
+                    np.where(flags, ALL_ONES, np.uint64(0)),
+                    [step[4] - step[3] for step in run],
+                )[:, None]
+        return (
+            self._plan_src1[lo:hi],
+            self._plan_src2[lo : lo + n_binary] if n_binary else None,
+            combos,
+            const_from,
+            inv,
+            self._plan_dst[lo:hi],
+            first,
+        )
 
     # ------------------------------------------------------------------
     def alloc(self, n_words: int) -> np.ndarray:
@@ -363,39 +435,61 @@ class CompiledModel:
     def eval(self, vals: np.ndarray, injections: Optional[Injections] = None) -> None:
         """One combinational evaluation pass, in place.
 
-        The caller must have loaded PI and flop-output rows first.  With
+        The caller must have loaded PI and flop-output rows of ``vals``, a
+        C-contiguous ``uint64`` matrix with one row per signal (anything
+        else raises ``ValueError``: the gathers below skip bounds checks
+        and the injections write through a flat view).  With
         ``injections`` the stuck values are forced as each level is
         produced (level 0 = the loaded rows themselves).
+
+        The pass runs the plan's steps in blocks (:meth:`_plan_blocks`)
+        sized to two scratch operands of at most ``_SCRATCH_BYTES``
+        each: a block gathers its operands into the scratch and combines
+        them straight into its dst rows when those are contiguous, else
+        in the scratch followed by one scatter.
         """
+        if (
+            vals.dtype != np.uint64
+            or vals.ndim != 2
+            or vals.shape[0] != self.n_signals
+            or not vals.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"eval needs a C-contiguous uint64 matrix of {self.n_signals} "
+                f"rows, got {vals.dtype} {vals.shape}"
+            )
+        n_cols = vals.shape[1]
+        rows = max(
+            1, min(self._max_level_rows, _SCRATCH_BYTES // (8 * max(n_cols, 1)))
+        )
+        blocks = self._plan_blocks(rows)
+        a = np.empty((rows, n_cols), dtype=np.uint64)
+        b = np.empty((rows, n_cols), dtype=np.uint64)
+        take = vals.take
         if injections is not None:
             injections.apply(vals, 0)
-        for lvl, ops in enumerate(self._levels, start=1):
-            for op in ops:
-                self._eval_group(vals, op)
+        for lvl, level in enumerate(blocks, start=1):
+            for src1, src2, combos, const_from, inv, dst, first in level:
+                x = a[: len(src1)]
+                take(src1, 0, x, "clip")
+                out = x if first < 0 else vals[first : first + len(x)]
+                # Results go straight to ``out`` unless an inversion follows.
+                target = out if inv is None else x
+                if src2 is not None:
+                    y = b[: len(src2)]
+                    take(src2, 0, y, "clip")
+                    for combine, i, j in combos:
+                        combine(x[i:j], y[i:j], target[i:j])
+                if const_from is not None:
+                    target[const_from:] = 0
+                if inv is not None:
+                    np.bitwise_xor(x, inv, out)
+                elif first >= 0 and src2 is None and const_from is None:
+                    out[...] = x  # a BUF step
+                if first < 0:
+                    vals[dst] = x
             if injections is not None:
                 injections.apply(vals, lvl)
-
-    @staticmethod
-    def _eval_group(vals: np.ndarray, op: _OpGroup) -> None:
-        if op.kind == "and2":
-            a = vals[op.src1]
-            a ^= op.ia[:, None]
-            b = vals[op.src2]
-            b ^= op.ib[:, None]
-            a &= b
-            a ^= op.io[:, None]
-            vals[op.dst] = a
-        elif op.kind == "xor2":
-            a = vals[op.src1]
-            a ^= vals[op.src2]
-            a ^= op.io[:, None]
-            vals[op.dst] = a
-        elif op.kind == "unary":
-            a = vals[op.src1]
-            a ^= op.io[:, None]
-            vals[op.dst] = a
-        else:  # const
-            vals[op.dst, :] = op.io[:, None]
 
     # ------------------------------------------------------------------
     def map_pin(self, consumer: str, pin: int) -> Tuple[str, int]:

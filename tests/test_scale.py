@@ -24,6 +24,7 @@ from repro.circuit.stats import circuit_stats
 from repro.faults.fault_sim import FaultSimulator
 from repro.faults.model import FaultGraph
 from repro.robustness.checkpoint import circuit_fingerprint
+from repro.simulation.compiled import Injections
 
 
 def not_chain(depth: int, name: str = "chain") -> Circuit:
@@ -160,6 +161,7 @@ class TestLeanPickle:
         assert state["_circuit"] is None
         assert state["_signal_names"] is None
         assert state["_signal_index"] is None
+        assert state["_blocks"] == {}
 
     def test_unpickled_graph_byte_identical(self, s27):
         from repro.core.config import BistConfig
@@ -229,6 +231,26 @@ class TestCompileCache:
         assert list(cold.simulate_grouped(ts0, faults).items()) == list(
             warm.simulate_grouped(ts0, faults).items()
         )
+        # A wide injected pass (steps split into row chunks) on the
+        # unpickled evaluation plan.
+        n_words = 10_000
+        free_rows = np.concatenate([cold.model.pi_idx, cold.model.q_idx])
+        rng = np.random.Generator(np.random.PCG64(7))
+        free = rng.integers(
+            0, 2**64, size=(len(free_rows), n_words), dtype=np.uint64
+        )
+        entries = [
+            cold.graph.injection_entry(f, i % n_words, i % 64)
+            for i, f in enumerate(faults * 40)
+        ]
+        passes = []
+        for sim in (cold, warm):
+            model = sim.model
+            vals = model.alloc(n_words)
+            vals[free_rows] = free
+            model.eval(vals, Injections.build(entries, model.level_of_signal))
+            passes.append(vals)
+        assert np.array_equal(passes[0], passes[1])
 
     def test_corrupt_entry_is_a_miss_and_heals(self, tmp_path, s27):
         cache = CompileCache(tmp_path)
