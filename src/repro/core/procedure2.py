@@ -7,8 +7,7 @@ the pair iff it detects something new.  Terminate at 100% coverage of the
 target faults or after ``N_SAME_FC`` consecutive iterations of ``I``
 without improvement (plus a hard ``max_iterations`` safety cap).
 
-Long runs are crash-safe: pass a
-:class:`~repro.robustness.checkpoint.CheckpointPolicy` and every
+Long runs are crash-safe: pass a ``checkpoint`` journal path and every
 iteration is journaled (selected pairs, detection records, the
 ``(iteration, n_same_fc)`` cursor); :func:`resume_procedure2` replays
 the journal, re-derives ``TS(I, D1)`` deterministically, skips the
@@ -20,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 from repro.circuit.netlist import Circuit
@@ -38,7 +38,7 @@ from repro.faults.pool import CandidateEvaluator
 from repro.faults.sharding import RecoveryPolicy, resolve_n_jobs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.robustness.checkpoint import CheckpointPolicy, CheckpointWriter
+    from repro.robustness.checkpoint import CheckpointWriter
     from repro.robustness.degradation import DegradationReport
 
 
@@ -202,7 +202,7 @@ def run_procedure2(
     policy: Optional[ObservationPolicy] = None,
     ts0: Optional[List[ScanTest]] = None,
     n_jobs: Optional[int] = None,
-    checkpoint: Optional[Union["CheckpointPolicy", str]] = None,
+    checkpoint: Optional[Union[str, Path]] = None,
 ) -> Procedure2Result:
     """Run Procedure 2 for ``circuit`` under ``config``.
 
@@ -230,10 +230,10 @@ def run_procedure2(
     releases without the knob.  The mode used is recorded on
     ``result.candidate_bias``.
 
-    ``checkpoint`` (a :class:`~repro.robustness.checkpoint.CheckpointPolicy`
-    or a path) journals every iteration so a killed run can be continued
-    with :func:`resume_procedure2` -- byte-identical to an uninterrupted
-    run.  The journal at that path is overwritten.
+    ``checkpoint`` (a journal path) journals every iteration so a
+    killed run can be continued with :func:`resume_procedure2` --
+    byte-identical to an uninterrupted run.  The journal at that path
+    is overwritten.
 
     Per ``config.lint``, the circuit is design-rule checked before any
     simulation cycle is spent: a malformed netlist either raises
@@ -246,34 +246,25 @@ def run_procedure2(
     jobs = resolve_n_jobs(config.n_jobs if n_jobs is None else n_jobs)
     writer = None
     if checkpoint is not None:
-        from repro.robustness.checkpoint import CheckpointPolicy, CheckpointWriter
+        from repro.robustness.checkpoint import CheckpointWriter
 
-        ckpt = (
-            checkpoint
-            if isinstance(checkpoint, CheckpointPolicy)
-            else CheckpointPolicy(path=checkpoint)
-        )
         writer = CheckpointWriter(
-            ckpt,
+            checkpoint,
             header=_journal_header(
                 circuit, config, simulator.chain_length, target_faults
             ),
         )
-    try:
-        return _run_procedure2_body(
-            circuit, config, target_faults, simulator, policy, ts0,
-            writer=writer, n_jobs=jobs,
-        )
-    finally:
-        if writer is not None:
-            writer.close()
+    return _run_procedure2_body(
+        circuit, config, target_faults, simulator, policy, ts0,
+        writer=writer, n_jobs=jobs,
+    )
 
 
 def resume_procedure2(
     circuit: Circuit,
     config: BistConfig,
     target_faults: Sequence[Fault],
-    checkpoint: Union["CheckpointPolicy", str],
+    checkpoint: Union[str, Path],
     simulator: Optional[FaultSimulator] = None,
     policy: Optional[ObservationPolicy] = None,
     ts0: Optional[List[ScanTest]] = None,
@@ -295,21 +286,15 @@ def resume_procedure2(
     was written for a different circuit, config, or target-fault list.
     ``n_jobs`` may freely differ from the original run.
     """
+    from repro.robustness import journal
     from repro.robustness.checkpoint import (
         CheckpointMismatchError,
-        CheckpointPolicy,
         CheckpointWriter,
         fingerprint_faults,
         load_checkpoint,
-        truncate_uncommitted,
     )
 
-    ckpt = (
-        checkpoint
-        if isinstance(checkpoint, CheckpointPolicy)
-        else CheckpointPolicy(path=checkpoint)
-    )
-    state = load_checkpoint(ckpt.path)
+    state = load_checkpoint(checkpoint)
     target_faults = list(target_faults)
     header = state.header
     mismatches = []
@@ -327,7 +312,7 @@ def resume_procedure2(
         mismatches.append("target-fault fingerprint differs")
     if mismatches:
         raise CheckpointMismatchError(
-            f"journal {ckpt.path} does not match this run: "
+            f"journal {checkpoint} does not match this run: "
             + "; ".join(mismatches)
         )
 
@@ -386,22 +371,18 @@ def resume_procedure2(
     )
     # Appending behind a torn tail would strand every later commit,
     # final record included, where no reader can reach it.
-    truncate_uncommitted(ckpt.path, state)
-    writer = CheckpointWriter(ckpt)  # append to the existing journal
-    try:
-        return _run_procedure2_body(
-            circuit,
-            config,
-            target_faults,
-            simulator,
-            policy,
-            ts0,
-            writer=writer,
-            start=start,
-            n_jobs=resolve_n_jobs(config.n_jobs if n_jobs is None else n_jobs),
-        )
-    finally:
-        writer.close()
+    journal.heal(checkpoint, state.committed_bytes)
+    return _run_procedure2_body(
+        circuit,
+        config,
+        target_faults,
+        simulator,
+        policy,
+        ts0,
+        writer=CheckpointWriter(checkpoint),  # append to the healed journal
+        start=start,
+        n_jobs=resolve_n_jobs(config.n_jobs if n_jobs is None else n_jobs),
+    )
 
 
 def _run_procedure2_body(

@@ -162,32 +162,25 @@ class LimitedScanBist:
     ) -> Procedure2Result:
         """Procedure 2 with a crash-safe journal at ``checkpoint``.
 
-        ``checkpoint`` is a path or a
-        :class:`~repro.robustness.checkpoint.CheckpointPolicy`.  With
-        ``resume=True`` and an existing journal, the run continues from
-        the journal's committed state and is byte-identical to an
-        uninterrupted run; otherwise a fresh journal is written (an
-        existing file is overwritten).  This is the session-level entry
-        point the job service (:mod:`repro.serve`) drives, so every
-        serving-side retry goes through exactly the code path the
-        checkpoint test suite pins.
+        ``checkpoint`` is the journal's path.  With ``resume=True`` and
+        an existing journal, the run continues from the journal's
+        committed state and is byte-identical to an uninterrupted run;
+        otherwise a fresh journal is written (an existing file is
+        overwritten).  This is the session-level entry point the job
+        service (:mod:`repro.serve`) drives, so every serving-side retry
+        goes through exactly the code path the checkpoint test suite
+        pins.
         """
         from pathlib import Path
 
         from repro.core.procedure2 import resume_procedure2, run_procedure2
-        from repro.robustness.checkpoint import CheckpointPolicy
 
-        ckpt = (
-            checkpoint
-            if isinstance(checkpoint, CheckpointPolicy)
-            else CheckpointPolicy(path=checkpoint)
-        )
-        if resume and Path(ckpt.path).exists():
+        if resume and Path(checkpoint).exists():
             return resume_procedure2(
                 self.circuit,
                 self.config,
                 self.target_faults,
-                ckpt,
+                checkpoint,
                 simulator=self.simulator,
                 policy=policy,
             )
@@ -197,7 +190,7 @@ class LimitedScanBist:
             self.target_faults,
             simulator=self.simulator,
             policy=policy,
-            checkpoint=ckpt,
+            checkpoint=checkpoint,
         )
 
     def first_complete(

@@ -1,14 +1,16 @@
 """Crash-safety layer: checkpoints, degradation reports, fault injection.
 
-Three pieces, built on one property of the scheme: every test set is a
+The pieces build on one property of the scheme: every test set is a
 pure function of :class:`~repro.core.config.BistConfig` and the
 iteration number, so any interrupted computation is replayable from a
 small amount of journaled state.
 
+- :mod:`repro.robustness.journal` -- the durable append-log under both
+  the checkpoint journal and the job journal (:mod:`repro.serve`).
 - :mod:`repro.robustness.checkpoint` -- the Procedure 2 journal
-  (:class:`CheckpointPolicy`, :func:`load_checkpoint`); the entry points
+  (:class:`CheckpointWriter`, :func:`load_checkpoint`); the entry points
   that use it are :func:`repro.core.procedure2.run_procedure2`
-  (``checkpoint=``) and :func:`repro.core.procedure2.resume_procedure2`.
+  (``checkpoint=PATH``) and :func:`repro.core.procedure2.resume_procedure2`.
 - :mod:`repro.robustness.degradation` -- structured
   :class:`DegradationReport` of every worker-pool recovery action.
 - :mod:`repro.robustness.chaos` -- deterministic injection of worker
@@ -36,7 +38,6 @@ from repro.robustness.checkpoint import (
     JOURNAL_VERSION,
     CheckpointError,
     CheckpointMismatchError,
-    CheckpointPolicy,
     CheckpointState,
     CheckpointWriter,
     fingerprint_faults,
@@ -48,7 +49,6 @@ __all__ = [
     "JOURNAL_VERSION",
     "CheckpointError",
     "CheckpointMismatchError",
-    "CheckpointPolicy",
     "CheckpointState",
     "CheckpointWriter",
     "ChaosError",

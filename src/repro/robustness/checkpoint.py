@@ -22,35 +22,35 @@ Journal format (version 1): a JSONL file, one record per line.
   iteration completed.
 - ``final`` -- the run finished (``complete``, ``iterations_run``).
 
-Crash safety is transactional at iteration granularity: an iteration's
-``pair`` lines and its ``cursor`` line are appended in a **single
-buffered write** followed by ``fsync``, so a crash can only truncate the
-tail of the file.  The reader treats a ``pair`` without a following
-``cursor`` (or any undecodable or newline-less tail) as an uncommitted
-transaction and discards it; re-running that iteration from the
-committed state reproduces it exactly.  Before a resumed run appends, it
-cuts the file back to the end of the last committed record
-(:func:`truncate_uncommitted`), so nothing it commits can land behind a
-torn line where no reader would reach it.
+The file is a :mod:`repro.robustness.journal` append-log.  Crash
+safety is transactional at iteration granularity: an iteration's
+``pair`` lines and its ``cursor`` line are one journal transaction (a
+single buffered write followed by ``fsync``), so a crash can only
+truncate the tail of the file.  The reader treats a ``pair`` without a
+following ``cursor`` (or any undecodable or newline-less tail) as an
+uncommitted transaction and discards it; re-running that iteration from
+the committed state reproduces it exactly.  Readers never modify the
+file; before a resumed run appends, it heals the journal back to
+:attr:`CheckpointState.committed_bytes`, so nothing it commits can land
+behind a torn line where no reader would reach it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.faults.model import Fault, fault_key
+from repro.robustness import journal
 
 #: Bump when a record's schema changes incompatibly.
 JOURNAL_VERSION = 1
 
-
-class CheckpointError(RuntimeError):
-    """The journal is missing, unreadable, or structurally invalid."""
+#: The journal is missing, not a checkpoint journal, or of another version.
+CheckpointError = journal.JournalError
 
 
 class CheckpointMismatchError(CheckpointError):
@@ -111,30 +111,6 @@ def session_fingerprint(
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class CheckpointPolicy:
-    """How (and how often) a Procedure 2 run journals its progress.
-
-    Attributes:
-        path: the JSONL journal file.
-        every: commit granularity in iterations.  1 (default) journals
-            after every iteration; a larger value batches commits,
-            trading a wider redo window on crash for fewer ``fsync``
-            calls.  Any value yields byte-identical resumed results.
-        fsync: fsync after every commit (default).  Disabling is faster
-            but a power loss may drop committed-looking iterations;
-            resume correctness is unaffected.
-    """
-
-    path: Union[str, Path]
-    every: int = 1
-    fsync: bool = True
-
-    def __post_init__(self) -> None:
-        if self.every < 1:
-            raise ValueError("CheckpointPolicy.every must be >= 1")
-
-
 @dataclass
 class CheckpointState:
     """The committed content of a journal, ready for replay."""
@@ -161,42 +137,17 @@ class CheckpointState:
 
 
 def load_checkpoint(path: Union[str, Path]) -> CheckpointState:
-    """Parse a journal, discarding any uncommitted tail.
+    """Fold a journal's committed transactions into its state.
 
+    Read-only: the journal may belong to a run that is still appending.
     Raises :class:`CheckpointError` if the file is absent or its first
     record is not a compatible header.  A truncated or garbage tail
     (the expected outcome of a SIGKILL mid-write) is silently dropped
     at the last committed transaction boundary, reported as
     :attr:`CheckpointState.committed_bytes`.
     """
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"no checkpoint journal at {path}")
-    records: List[Tuple[Dict[str, Any], int]] = []  # (record, end offset)
-    offset = 0
-    with open(path, "rb") as fh:
-        for raw in fh:
-            offset += len(raw)
-            if not raw.endswith(b"\n"):
-                break  # torn tail: the record's newline never landed
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                break  # torn tail: everything after is uncommitted
-            if not isinstance(record, dict) or "kind" not in record:
-                break
-            records.append((record, offset))
-    if not records or records[0][0].get("kind") != "header":
-        raise CheckpointError(f"{path} is not a checkpoint journal")
+    records = journal.replay(path, JOURNAL_VERSION, "checkpoint journal")
     header, header_end = records[0]
-    if header.get("version") != JOURNAL_VERSION:
-        raise CheckpointError(
-            f"{path} has journal version {header.get('version')!r}, "
-            f"this code reads version {JOURNAL_VERSION}"
-        )
     state = CheckpointState(header=header, committed_bytes=header_end)
     pending_pairs: List[Dict[str, Any]] = []
     for record, end in records[1:]:
@@ -209,8 +160,9 @@ def load_checkpoint(path: Union[str, Path]) -> CheckpointState:
         elif kind == "cursor":
             # Commit point: the buffered pairs belong to this iteration.
             # Iterations only ever move forward, so a commit at or below
-            # the current cursor is a duplicated transaction (a flush
-            # interrupted after its bytes landed, then re-appended) and
+            # the current cursor is a duplicated transaction (the
+            # buffered writer of earlier versions could re-append an
+            # interrupted flush, and their journals still resume), and
             # replaying its pairs again would corrupt the resumed state.
             state.committed_bytes = end
             if record["iteration"] <= state.cursor[0]:
@@ -228,71 +180,27 @@ def load_checkpoint(path: Union[str, Path]) -> CheckpointState:
     return state
 
 
-def truncate_uncommitted(path: Union[str, Path], state: CheckpointState) -> None:
-    """Durably cut a journal back to its last committed record.
-
-    Drops the uncommitted or torn tail :func:`load_checkpoint` skipped,
-    so records appended afterwards are readable again.
-    """
-    with open(path, "rb+") as fh:
-        fh.truncate(state.committed_bytes)
-        fh.flush()
-        os.fsync(fh.fileno())
-
-
 class CheckpointWriter:
     """Append-only journal writer with transactional iteration commits.
 
     Created with a ``header`` for a fresh journal (the file is created
     atomically with the header as its first line), or without one to
-    append to an existing journal on resume.
+    append to an existing, healed journal on resume.  Every method is
+    one durable journal transaction.
     """
 
     def __init__(
-        self,
-        policy: CheckpointPolicy,
-        header: Optional[Dict[str, Any]] = None,
+        self, path: Union[str, Path], header: Optional[Dict[str, Any]] = None
     ) -> None:
-        self.policy = policy
-        self.path = Path(policy.path)
-        self._pending: List[str] = []
-        self._uncommitted_iterations = 0
+        self.path = Path(path)
         if header is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            from repro.robustness.atomic import atomic_write_text
+            journal.create(self.path, header)
 
-            atomic_write_text(self.path, self._line(header))
-
-    @staticmethod
-    def _line(record: Dict[str, Any]) -> str:
-        return json.dumps(record, sort_keys=True) + "\n"
-
-    def _append(self, text: str) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            if self.policy.fsync:
-                os.fsync(fh.fileno())
-
-    def _flush_pending(self) -> None:
-        # The buffer is taken *before* the durable write: if a signal
-        # lands inside ``_append`` after the bytes reached the file (an
-        # fsync interrupted by KeyboardInterrupt), the interrupt handler
-        # path -- ``close()`` from the run's ``finally`` -- must not
-        # append the same transaction a second time.  Dropping the
-        # buffer on a failed append is safe: an unflushed transaction is
-        # indistinguishable from crashing before the commit, which the
-        # reader already treats as uncommitted.
-        text, self._pending = "".join(self._pending), []
-        self._uncommitted_iterations = 0
-        if text:
-            self._append(text)
-
-    # -- records ---------------------------------------------------------
     def write_ts0(self, detected_rows: Sequence[Sequence[Any]]) -> None:
-        """Journal the TS0 detections (always committed immediately)."""
-        self._append(
-            self._line({"kind": "ts0", "detected": [list(r) for r in detected_rows]})
+        """Journal the TS0 detections."""
+        journal.append(
+            self.path,
+            [{"kind": "ts0", "detected": [list(r) for r in detected_rows]}],
         )
 
     def commit_iteration(
@@ -301,40 +209,21 @@ class CheckpointWriter:
         n_same_fc: int,
         pair_records: Sequence[Dict[str, Any]],
     ) -> None:
-        """Buffer one finished iteration; flush per ``policy.every``.
+        """Commit one finished iteration: its pairs, then its cursor.
 
         ``n_same_fc`` is the *post-iteration* value -- exactly what the
         resumed loop needs to continue.
         """
-        for record in pair_records:
-            self._pending.append(self._line(dict(record, kind="pair")))
-        self._pending.append(
-            self._line(
-                {"kind": "cursor", "iteration": iteration, "n_same_fc": n_same_fc}
-            )
-        )
-        self._uncommitted_iterations += 1
-        if self._uncommitted_iterations >= self.policy.every:
-            self._flush_pending()
+        pairs = [dict(record, kind="pair") for record in pair_records]
+        cursor = {
+            "kind": "cursor", "iteration": iteration, "n_same_fc": n_same_fc,
+        }
+        journal.append(self.path, pairs + [cursor])
 
     def write_final(self, complete: bool, iterations_run: int) -> None:
-        self._pending.append(
-            self._line(
-                {
-                    "kind": "final",
-                    "complete": complete,
-                    "iterations_run": iterations_run,
-                }
-            )
-        )
-        self._flush_pending()
-
-    def close(self) -> None:
-        """Flush buffered committed iterations (e.g. on KeyboardInterrupt)."""
-        self._flush_pending()
-
-    def __enter__(self) -> "CheckpointWriter":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+        final = {
+            "kind": "final",
+            "complete": complete,
+            "iterations_run": iterations_run,
+        }
+        journal.append(self.path, [final])

@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro import __version__
 from repro.robustness.chaos import SERVER_CHAOS_EXIT, ServeChaosPlan
+from repro.robustness.checkpoint import CheckpointError, load_checkpoint
 from repro.serve import errors
 from repro.serve.budgets import JobBudget, run_job_with_budget
 from repro.serve.cache import ResultCache, submission_key
@@ -412,7 +413,9 @@ class JobManager:
         )
 
     def events(self, job_id: str, since: int = 0) -> List[Dict[str, Any]]:
-        """Progress events, derived from the job's checkpoint journal.
+        """Progress events, derived from the job's committed checkpoint
+        state (:func:`~repro.robustness.checkpoint.load_checkpoint`, the
+        same fold resume and partial results use).
 
         Deterministic and replayable: event ``seq`` numbers are stable
         across polls and across server restarts, so ``?since=N`` resumes
@@ -422,42 +425,33 @@ class JobManager:
         events: List[Dict[str, Any]] = [
             {"kind": "submitted", "state": QUEUED, "cached": job.cached}
         ]
-        path = self._checkpoint_path(job)
-        if path.exists():
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    lines = fh.readlines()
-            except OSError:
-                lines = []
-            for line in lines:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn tail: uncommitted
-                kind = record.get("kind")
-                if kind == "ts0":
-                    events.append(
-                        {"kind": "ts0", "detected": len(record["detected"])}
-                    )
-                elif kind == "pair":
-                    events.append(
-                        {
-                            "kind": "pair",
-                            "iteration": record.get("iteration"),
-                            "d1": record.get("d1"),
-                            "newly_detected": record.get("newly_detected"),
-                        }
-                    )
-                elif kind == "cursor":
-                    events.append(
-                        {
-                            "kind": "iteration",
-                            "iteration": record.get("iteration"),
-                        }
-                    )
+        try:
+            state = load_checkpoint(self._checkpoint_path(job))
+        except CheckpointError:
+            pass  # no checkpoint journal yet
+        else:
+            if state.ts0 is not None:
+                events.append(
+                    {"kind": "ts0", "detected": len(state.ts0["detected"])}
+                )
+            progress = [
+                {
+                    "kind": "pair",
+                    "iteration": pair["iteration"],
+                    "d1": pair["d1"],
+                    "newly_detected": pair["newly_detected"],
+                }
+                for pair in state.pairs
+            ] + [
+                {"kind": "iteration", "iteration": iteration}
+                for iteration in range(1, state.cursor[0] + 1)
+            ]
+            # Journal order: iterations commit 1, 2, ..., each one's
+            # pairs (a stable sort keeps their order) before its cursor.
+            progress.sort(
+                key=lambda e: (e["iteration"], e["kind"] == "iteration")
+            )
+            events.extend(progress)
         if job.terminal:
             events.append(
                 {"kind": "finished", "state": job.state, "error": job.error}

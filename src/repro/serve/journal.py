@@ -1,7 +1,7 @@
 """Durable job journal: the service's single source of truth.
 
-Same conventions as the Procedure 2 checkpoint journal
-(:mod:`repro.robustness.checkpoint`): an append-only JSONL file whose
+The same durable append-log as the Procedure 2 checkpoint journal
+(:mod:`repro.robustness.journal`): an append-only JSONL file whose
 first line is an atomically-written header, every append flushed and
 fsynced, and a torn tail -- the expected outcome of a SIGKILL mid-write
 -- treated as an uncommitted transaction.
@@ -17,27 +17,25 @@ Records:
   error).  Durable *before* the transition is acted on.
 
 Replay folds the records into the latest :class:`JobRecord` per job.
-Unlike the checkpoint journal, a torn tail is also *healed*: the file
-is truncated back to the last committed record before appending resumes,
-so one crash can never corrupt the next record.
+The server is the journal's single writer, so opening the journal also
+*heals* it: the torn tail is cut back to the last committed record
+before appending resumes, so one crash can never corrupt the next
+record.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Union
 
-from repro.robustness.atomic import atomic_write_text, fsync_dir
+from repro.robustness import journal
 from repro.serve.models import JobRecord
 
 #: Bump when a record's schema changes incompatibly.
 JOB_JOURNAL_VERSION = 1
 
-
-class JobJournalError(RuntimeError):
-    """The journal exists but is not a compatible job journal."""
+#: The journal exists but is not a compatible job journal.
+JobJournalError = journal.JournalError
 
 
 class JobJournal:
@@ -59,63 +57,23 @@ class JobJournal:
         if self.path.exists():
             self._replay()
         else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(
+            journal.create(
                 self.path,
-                json.dumps(
-                    {
-                        "kind": "header",
-                        "version": JOB_JOURNAL_VERSION,
-                        "service": "repro-serve",
-                    },
-                    sort_keys=True,
-                )
-                + "\n",
+                {
+                    "kind": "header",
+                    "version": JOB_JOURNAL_VERSION,
+                    "service": "repro-serve",
+                },
             )
             self.records = 1
 
     # -- replay ----------------------------------------------------------
     def _replay(self) -> None:
-        good_end = 0
-        records: List[Dict[str, Any]] = []
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        offset = 0
-        for raw in data.split(b"\n"):
-            line_end = offset + len(raw) + 1  # +1 for the newline
-            stripped = raw.strip()
-            if stripped:
-                try:
-                    record = json.loads(stripped.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    break
-                if not isinstance(record, dict) or "kind" not in record:
-                    break
-                # A record is committed only if its newline landed.
-                if line_end > len(data):
-                    break
-                records.append(record)
-                good_end = line_end
-            elif line_end <= len(data):
-                good_end = line_end
-            offset = line_end
-        if not records or records[0].get("kind") != "header":
-            raise JobJournalError(f"{self.path} is not a job journal")
-        if records[0].get("version") != JOB_JOURNAL_VERSION:
-            raise JobJournalError(
-                f"{self.path} has journal version "
-                f"{records[0].get('version')!r}, this code reads "
-                f"{JOB_JOURNAL_VERSION}"
-            )
-        if good_end < len(data):
-            # Heal the torn tail so future appends start on a record
-            # boundary.  The dropped suffix was never acknowledged.
-            self.healed_bytes = len(data) - good_end
-            with open(self.path, "rb+") as fh:
-                fh.truncate(good_end)
-                fh.flush()
-                os.fsync(fh.fileno())
-        for record in records[1:]:
+        records = journal.replay(self.path, JOB_JOURNAL_VERSION, "job journal")
+        # Heal the torn tail so future appends start on a record
+        # boundary.  The dropped suffix was never acknowledged.
+        self.healed_bytes = journal.heal(self.path, records[-1][1])
+        for record, _ in records[1:]:
             kind = record["kind"]
             if kind == "submit":
                 job = JobRecord.from_dict(record["job"])
@@ -142,11 +100,7 @@ class JobJournal:
 
     # -- appends ---------------------------------------------------------
     def _append(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line)
-            fh.flush()
-            os.fsync(fh.fileno())
+        journal.append(self.path, [record])
         self.records += 1
 
     def record_submit(self, job: JobRecord) -> None:

@@ -34,7 +34,6 @@ from repro.faults.pool import CandidateEvaluator
 from repro.robustness.checkpoint import (
     CheckpointError,
     CheckpointMismatchError,
-    CheckpointPolicy,
     CheckpointState,
     CheckpointWriter,
     JOURNAL_VERSION,
@@ -94,14 +93,14 @@ class TestJournalFormat:
 
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        with CheckpointWriter(CheckpointPolicy(path), self.header()) as w:
-            w.write_ts0([[0, 1, 2, "po"]])
-            w.commit_iteration(1, 0, [{"iteration": 1, "d1": 3,
-                                       "newly_detected": 1, "nsh": 2,
-                                       "ls_time_units": 5,
-                                       "total_time_units": 9,
-                                       "detected": [[1, 4, 0, "sv"]]}])
-            w.commit_iteration(2, 1, [])
+        w = CheckpointWriter(path, self.header())
+        w.write_ts0([[0, 1, 2, "po"]])
+        w.commit_iteration(1, 0, [{"iteration": 1, "d1": 3,
+                                   "newly_detected": 1, "nsh": 2,
+                                   "ls_time_units": 5,
+                                   "total_time_units": 9,
+                                   "detected": [[1, 4, 0, "sv"]]}])
+        w.commit_iteration(2, 1, [])
         state = load_checkpoint(path)
         assert state.header["n_sv"] == 4
         assert state.ts0["detected"] == [[0, 1, 2, "po"]]
@@ -112,18 +111,18 @@ class TestJournalFormat:
 
     def test_final_record(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        with CheckpointWriter(CheckpointPolicy(path), self.header()) as w:
-            w.write_ts0([])
-            w.write_final(complete=True, iterations_run=0)
+        w = CheckpointWriter(path, self.header())
+        w.write_ts0([])
+        w.write_final(complete=True, iterations_run=0)
         state = load_checkpoint(path)
         assert state.final == {"kind": "final", "complete": True,
                                "iterations_run": 0}
 
     def test_uncommitted_pair_is_discarded(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        with CheckpointWriter(CheckpointPolicy(path), self.header()) as w:
-            w.write_ts0([])
-            w.commit_iteration(1, 0, [{"iteration": 1, "detected": []}])
+        w = CheckpointWriter(path, self.header())
+        w.write_ts0([])
+        w.commit_iteration(1, 0, [{"iteration": 1, "detected": []}])
         # A pair line whose cursor never landed (crash mid-transaction).
         with open(path, "a") as fh:
             fh.write(json.dumps({"kind": "pair", "iteration": 2,
@@ -134,8 +133,8 @@ class TestJournalFormat:
 
     def test_torn_tail_is_discarded(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        with CheckpointWriter(CheckpointPolicy(path), self.header()) as w:
-            w.commit_iteration(1, 0, [])
+        w = CheckpointWriter(path, self.header())
+        w.commit_iteration(1, 0, [])
         with open(path, "a") as fh:
             fh.write('{"kind": "curs')  # SIGKILL mid-write
         state = load_checkpoint(path)
@@ -144,18 +143,19 @@ class TestJournalFormat:
     def test_duplicated_transaction_is_replayed_once(self, tmp_path):
         """A committed iteration appended twice must not replay twice.
 
-        The duplicate arises when a signal interrupts ``_flush_pending``
-        after its bytes landed (e.g. inside fsync) and the interrupt
-        path flushes again; old journals may carry it, so the reader
-        skips any commit at or below the current cursor.
+        The buffered writer of earlier versions appended one when a
+        signal interrupted its flush after the bytes landed (e.g. inside
+        fsync) and its interrupt path flushed again; journals it wrote
+        may carry it, so the reader skips any commit at or below the
+        current cursor.
         """
         path = tmp_path / "j.jsonl"
         pair = {"iteration": 1, "d1": 3, "newly_detected": 1, "nsh": 2,
                 "ls_time_units": 5, "total_time_units": 9,
                 "detected": [[1, 4, 0, "po"]]}
-        with CheckpointWriter(CheckpointPolicy(path), self.header()) as w:
-            w.write_ts0([])
-            w.commit_iteration(1, 0, [pair])
+        w = CheckpointWriter(path, self.header())
+        w.write_ts0([])
+        w.commit_iteration(1, 0, [pair])
         block = (
             json.dumps(dict(pair, kind="pair"), sort_keys=True) + "\n"
             + json.dumps({"kind": "cursor", "iteration": 1,
@@ -168,12 +168,12 @@ class TestJournalFormat:
         assert state.cursor == (1, 0)
 
     def test_interrupted_flush_never_duplicates(self, tmp_path, monkeypatch):
-        """KeyboardInterrupt inside the durable append, then ``close()``:
-        the transaction must land at most once."""
-        import repro.robustness.checkpoint as ckpt_mod
+        """KeyboardInterrupt inside the durable append: the transaction
+        must land at most once."""
+        import repro.robustness.journal as journal_mod
 
         path = tmp_path / "j.jsonl"
-        writer = CheckpointWriter(CheckpointPolicy(path), self.header())
+        writer = CheckpointWriter(path, self.header())
         real_fsync = os.fsync
         fired = []
 
@@ -183,10 +183,9 @@ class TestJournalFormat:
                 fired.append(True)
                 raise KeyboardInterrupt
 
-        monkeypatch.setattr(ckpt_mod.os, "fsync", exploding_fsync)
+        monkeypatch.setattr(journal_mod.os, "fsync", exploding_fsync)
         with pytest.raises(KeyboardInterrupt):
             writer.commit_iteration(1, 0, [{"iteration": 1, "detected": []}])
-        writer.close()  # the interrupt path: must not re-append
         state = load_checkpoint(path)
         assert len(state.pairs) == 1
         assert state.cursor == (1, 0)
@@ -203,28 +202,9 @@ class TestJournalFormat:
         path = tmp_path / "j.jsonl"
         header = self.header()
         header["version"] = JOURNAL_VERSION + 1
-        CheckpointWriter(CheckpointPolicy(path), header).close()
+        CheckpointWriter(path, header)
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
-
-    def test_policy_validates_every(self, tmp_path):
-        with pytest.raises(ValueError):
-            CheckpointPolicy(tmp_path / "j.jsonl", every=0)
-
-    def test_every_batches_commits(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        writer = CheckpointWriter(
-            CheckpointPolicy(path, every=3), self.header()
-        )
-        writer.commit_iteration(1, 0, [])
-        writer.commit_iteration(2, 1, [])
-        # Two iterations buffered, none on disk yet.
-        assert load_checkpoint(path).cursor == (0, 0)
-        writer.commit_iteration(3, 2, [])
-        assert load_checkpoint(path).cursor == (3, 2)
-        writer.commit_iteration(4, 0, [])
-        writer.close()  # close flushes committed-but-buffered iterations
-        assert load_checkpoint(path).cursor == (4, 0)
 
 
 class TestMismatchDetection:

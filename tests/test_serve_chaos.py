@@ -40,7 +40,7 @@ def s27_bench():
 
 
 @pytest.fixture(scope="module")
-def clean_result(s27_bench, tmp_path_factory):
+def clean_job(s27_bench, tmp_path_factory):
     """The undisturbed reference: same submission, no chaos."""
     tmp_path = tmp_path_factory.mktemp("clean")
     manager = JobManager(
@@ -52,7 +52,18 @@ def clean_result(s27_bench, tmp_path_factory):
     manager.queue.pop()
     asyncio.run(manager.execute_one(job.job_id))
     assert job.state == DONE
+    return manager, job
+
+
+@pytest.fixture(scope="module")
+def clean_result(clean_job):
+    manager, job = clean_job
     return manager.result(job.job_id)["result"]
+
+
+def checkpoint_bytes(manager, job):
+    path = manager.data_dir / f"jobs/{job.seq:06d}/checkpoint.jsonl"
+    return path.read_bytes()
 
 
 def make_manager(tmp_path, max_retries=2):
@@ -100,6 +111,36 @@ class TestWorkerDeath:
             assert json.dumps(got, sort_keys=True) == json.dumps(
                 clean_result, sort_keys=True
             )
+
+
+    def test_every_retry_dies_once_then_converges(
+        self, tmp_path, s27_bench, clean_job
+    ):
+        """The second (and third) crash as well as the first: each of
+        three attempts dies right after its first commit, the fourth
+        finishes, and result, journal and events match a clean job."""
+        manager = make_manager(tmp_path, max_retries=3)
+        job = manager.submit({
+            "bench": s27_bench, "name": "s27", "config": SLOW,
+            "chaos": {"die_after_commits": 1, "fire_attempts": 3},
+        })
+        manager.queue.pop()
+        asyncio.run(manager.execute_one(job.job_id))
+
+        assert job.state == DONE
+        assert job.attempts == 4
+        clean_manager, clean = clean_job
+        got = manager.result(job.job_id)["result"]
+        expected = clean_manager.result(clean.job_id)["result"]
+        assert json.dumps(got, sort_keys=True) == json.dumps(
+            expected, sort_keys=True
+        )
+        assert checkpoint_bytes(manager, job) == checkpoint_bytes(
+            clean_manager, clean
+        )
+        assert manager.events(job.job_id) == clean_manager.events(
+            clean.job_id
+        )
 
 
 class TestGracefulDegradation:

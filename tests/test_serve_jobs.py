@@ -17,11 +17,15 @@ from repro.serve.errors import ServeError
 from repro.serve.jobs import JobManager
 from repro.serve.models import DONE, FAILED, PARTIAL, QUEUED
 from repro.serve.queue import MultiTenantQueue
+from repro.serve.worker import partial_result_from_checkpoint
 
 pytestmark = pytest.mark.serve
 
 #: Converges in an iteration or two: the fast path.
 QUICK = {"n": 8, "max_iterations": 6}
+#: Runs its full iteration budget: iteration 1 selects no pair,
+#: iteration 2 selects one.
+SLOW = {"n": 1, "la": 2, "lb": 4, "max_iterations": 8}
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +80,50 @@ class TestLifecycle:
         assert [e["seq"] for e in events] == list(range(len(events)))
         # since=N resumes the stream exactly.
         assert manager.events(job.job_id, since=2) == events[2:]
+
+    def test_events_hold_only_committed_iterations(self, tmp_path, s27_bench):
+        """A pair whose cursor never landed is not an event.
+
+        The checkpoint journal is cut inside iteration 2's ``cursor``
+        line, leaving iteration 2's ``pair`` line whole.  The events,
+        the partial result and resume must all treat iteration 1 as the
+        last commit, and the resumed stream must keep every ``seq``.
+        """
+        manager = make_manager(tmp_path)
+        job = run_to_done(
+            manager, {"bench": s27_bench, "name": "s27", "config": SLOW}
+        )
+        full = manager.events(job.job_id)
+        path = manager.data_dir / f"jobs/{job.seq:06d}/checkpoint.jsonl"
+        data = path.read_bytes()
+        lines = data.splitlines(keepends=True)
+        records = [json.loads(line) for line in lines]
+        at = next(
+            i for i, r in enumerate(records)
+            if r["kind"] == "cursor" and r["iteration"] == 2
+        )
+        assert records[at - 1]["kind"] == "pair"
+        assert records[at - 1]["iteration"] == 2
+        cut = len(b"".join(lines[:at])) + len(lines[at]) // 2
+        path.write_bytes(data[:cut])
+
+        torn = manager.events(job.job_id)
+        partial = partial_result_from_checkpoint(path)
+        assert partial["iterations_run"] == 1
+        progress = [
+            (e["kind"], e["iteration"])
+            for e in torn
+            if e["kind"] in ("pair", "iteration")
+        ]
+        assert progress == [
+            ("pair", p["iteration"]) for p in partial["pairs"]
+        ] + [("iteration", 1)]
+        assert torn[:-1] == full[: len(torn) - 1]
+
+        # Resume re-runs iteration 2 and reproduces the stream exactly.
+        asyncio.run(manager.execute_one(job.job_id))
+        assert path.read_bytes() == data
+        assert manager.events(job.job_id) == full
 
     def test_result_before_done_is_409(self, tmp_path, s27_bench):
         manager = make_manager(tmp_path)

@@ -19,7 +19,9 @@ not hold:
    its first committed iteration is visible in the events stream.  A new
    server on the same data dir recovers the job, resumes it from its
    checkpoint journal, and the final result is byte-identical to the
-   clean in-process run.
+   clean in-process run.  The event stream polled just before the kill
+   is a prefix of the recovered job's final stream: the same ``seq``
+   numbers with the same content.
 
 Prints a JSON verdict either way.  Exit codes: 0 pass, 1 a claim
 failed, 2 harness trouble (server never came up).
@@ -185,6 +187,7 @@ def run_smoke(data_dir: Path, timeout_s: float) -> Dict[str, Any]:
             time.sleep(0.05)
         else:
             raise SmokeFailure("paced job never committed an iteration")
+        events_before_kill = events
         server.send_signal(signal.SIGKILL)
         server.wait(timeout=30)
         report["killed_mid_job"] = slow_id
@@ -212,6 +215,14 @@ def run_smoke(data_dir: Path, timeout_s: float) -> Dict[str, Any]:
             == json.dumps(expected_slow, sort_keys=True),
             "resumed result differs from uninterrupted run",
         )
+        final_events = client.events(slow_id)
+        _require(
+            final_events[: len(events_before_kill)] == events_before_kill,
+            "events seen before the crash are not a prefix of the "
+            "recovered job's event stream",
+        )
+        report["events_before_kill"] = len(events_before_kill)
+        report["events_final"] = len(final_events)
         report["recovered_jobs"] = health["recovered_jobs"]
         report["final_health"] = client.healthz()["jobs"]
     finally:
