@@ -1,7 +1,7 @@
 """Persistent worker pool vs. serial Procedure 2.
 
 Measures wall-clock time of complete Procedure 2 runs on the serial
-simulator and on the persistent shared-memory worker pool across an
+simulator and on the persistent worker pool across an
 ``n_jobs`` x ``candidate_batch`` grid, and verifies every parallel/batched result is byte-identical to
 the serial run (config and execution metadata normalized out).  The
 measured table is written as ``BENCH_pool.json`` so speedups are
@@ -17,9 +17,10 @@ Modes::
 The committed ``BENCH_pool.json`` at the repository root is the full
 grid.  ``--smoke`` is the CI/regression-test entry point: a small
 circuit sized so each row runs for whole seconds and the *batched
-evaluation* speedup is several-fold -- comfortably above timer noise --
-while process-pool dispatch stays overhead-dominated (the JSON records
-both, the regression test interprets them per host core count).  Smoke
+evaluation* speedup is several-fold -- comfortably above timer noise.
+Its dispatches are too small to pay for a worker round trip, so its
+``n_jobs > 1`` rows run in the parent (the JSON records every row, the
+regression test interprets them per host core count).  Smoke
 rows are additionally timed as the minimum over ``SMOKE_REPEATS`` runs
 so a scheduler hiccup on a loaded CI host cannot fake a regression.
 

@@ -1,4 +1,4 @@
-"""Vendoring and lazy retrieval of real benchmark netlists.
+"""Vendored real benchmark netlists.
 
 The catalog's large tier names the full-size ISCAS-89 circuits.  When a
 genuine ``.bench`` netlist is available it is used; otherwise the
@@ -15,10 +15,7 @@ Search order for a real netlist named ``s13207``:
 1. ``$REPRO_BENCH_DIR/s13207.bench`` -- a user- or CI-provisioned
    directory of benchmark files;
 2. ``repro/bench_circuits/vendored/s13207.bench`` -- files committed to
-   the package itself;
-3. if ``REPRO_BENCH_DOWNLOAD=1``, a one-time download into the first
-   writable search directory (atomic write; never enabled by default --
-   tests and CI run with no network access).
+   the package itself.
 
 A real netlist is validated against the catalog's published PI/PO/FF
 counts via :func:`repro.circuit.stats.circuit_stats` before it is
@@ -44,17 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Directory of user-provided ``.bench`` files (searched first).
 BENCH_DIR_ENV = "REPRO_BENCH_DIR"
 
-#: Set to ``1`` to allow a one-time network fetch of missing netlists.
-DOWNLOAD_ENV = "REPRO_BENCH_DOWNLOAD"
-
 #: Package-local vendored netlists.
 VENDOR_DIR = Path(__file__).resolve().parent / "vendored"
-
-#: Mirrors serving the classic ISCAS-89 distribution as ``{name}.bench``.
-DOWNLOAD_URLS = (
-    "https://raw.githubusercontent.com/jpsety/verilog_benchmark_circuits/master/{name}.bench",
-    "https://ddd.fit.cvut.cz/www/prj/Benchmarks/ISCAS89/{name}.bench",
-)
 
 
 class VendorError(ValueError):
@@ -80,39 +68,6 @@ def vendored_path(name: str) -> Optional[Path]:
     return None
 
 
-def _download(name: str) -> Optional[Path]:
-    """Fetch ``name.bench`` into the first writable search dir, or None."""
-    if os.environ.get(DOWNLOAD_ENV, "").strip() != "1":
-        return None
-    from urllib.request import urlopen
-
-    for url in DOWNLOAD_URLS:
-        try:
-            with urlopen(url.format(name=name), timeout=30) as resp:
-                text = resp.read().decode("utf-8", errors="replace")
-        except Exception:
-            continue
-        for directory in search_dirs():
-            try:
-                directory.mkdir(parents=True, exist_ok=True)
-                from repro.robustness.atomic import atomic_write_text
-
-                target = directory / f"{name}.bench"
-                atomic_write_text(target, text)
-                return target
-            except OSError:
-                continue
-    return None
-
-
-def ensure_vendored(name: str) -> Optional[Path]:
-    """Locate (or, if enabled, download) the real netlist for ``name``."""
-    path = vendored_path(name)
-    if path is None:
-        path = _download(name)
-    return path
-
-
 def validate_interface(circuit: Circuit, entry: "CatalogEntry") -> None:
     """Check a netlist against the catalog's published PI/PO/FF counts."""
     stats = circuit_stats(circuit)
@@ -127,7 +82,7 @@ def validate_interface(circuit: Circuit, entry: "CatalogEntry") -> None:
 
 def load_vendored(entry: "CatalogEntry") -> Optional[Circuit]:
     """The real netlist for ``entry``, parsed and validated, or None."""
-    path = ensure_vendored(entry.name)
+    path = vendored_path(entry.name)
     if path is None:
         return None
     circuit = parse_bench_file(path)

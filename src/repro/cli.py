@@ -495,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "effective depths are tried first")
         p.add_argument("--jobs", type=int, default=1,
                        help="fault-simulation worker processes on the "
-                            "persistent shared-memory pool "
+                            "persistent worker pool "
                             "(1 = serial, -1 = all cores)")
         p.add_argument("--candidate-batch", type=int, default=1,
                        metavar="N", dest="candidate_batch",

@@ -57,8 +57,8 @@ class BistConfig:
             is re-executed serially in the parent.  Execution knob.
         pool: the parallel back end behind ``n_jobs > 1``; only
             ``'persistent'`` exists: one worker pool stays alive for the
-            whole Procedure 2 run with the circuit and fault list
-            published once through shared memory (see
+            whole Procedure 2 run, its workers inheriting the circuit
+            and fault list when they fork (see
             :mod:`repro.faults.pool`).  Execution knob.
         candidate_batch: how many ``(I, D1)`` candidate test sets
             Procedure 2 scores per fault-simulation dispatch.  1

@@ -212,16 +212,16 @@ def run_procedure2(
     incomplete run, never an error.
 
     ``n_jobs`` (default: ``config.n_jobs``) shards the fault list across
-    worker processes for every fault-simulation call.  With
-    ``n_jobs > 1`` one :class:`~repro.faults.pool.PersistentWorkerPool`
-    lives for the whole run: the compiled circuit and target faults are
-    published once into shared memory and each dispatch ships only shard
-    indices plus pattern seeds.  ``config.candidate_batch`` additionally
-    scores that many candidate ``(I, D1)`` test sets per dispatch in one
-    fanned-out pass.  Results
-    are byte-identical to the serial run for any combination of these
-    knobs; worker failures are recovered shard by shard and recorded on
-    ``result.degradation``.
+    worker processes.  With ``n_jobs > 1`` one
+    :class:`~repro.faults.pool.PersistentWorkerPool` lives for the whole
+    run: its workers inherit the compiled circuit and target faults when
+    they fork, and each dispatch ships only shard indices plus pattern
+    seeds.  A dispatch too small to pay for a worker round trip runs in
+    the parent.  ``config.candidate_batch`` additionally scores that
+    many candidate ``(I, D1)`` test sets per dispatch in one fanned-out
+    pass.  Results are byte-identical to the serial run for any
+    combination of these knobs; worker failures are recovered shard by
+    shard and recorded on ``result.degradation``.
 
     ``config.candidate_bias == 'testability'`` reorders the D1 stream
     around the COP scan-benefit pivot before the loop starts (see
@@ -421,7 +421,6 @@ def _run_procedure2_body(
         policy,
         n_jobs=n_jobs,
         targets=target_faults,
-        circuit_name=circuit.name,
         recovery=_recovery_from_config(config),
     )
     try:

@@ -10,7 +10,7 @@
   final scan-out,
 - :mod:`repro.faults.ppsfp` -- parallel-pattern single-fault propagation
   for the purely combinational (single-vector, full-scan) setting,
-- :mod:`repro.faults.pool` -- the persistent shared-memory worker pool
+- :mod:`repro.faults.pool` -- the persistent worker pool
   and batched candidate evaluation behind Procedure 2's ``n_jobs``,
 - :mod:`repro.faults.sharding` -- the word-aligned fault-list sharding
   and recovery-policy primitives the pool dispatches with.

@@ -156,7 +156,7 @@ class FaultSimulator:
     def __getstate__(self) -> dict:
         # The injection cache and the signal memo are per-process
         # working sets keyed by object identity; never ship them through
-        # pickle (shared-memory publication, worker dispatch).
+        # pickle (pool workers under the spawn start method).
         state = self.__dict__.copy()
         state.pop("_cand_inj_cache", None)
         state.pop("_sig_memo", None)

@@ -1,22 +1,23 @@
-"""Persistent shared-memory worker pool with batched candidate evaluation.
+"""Persistent worker pool with batched candidate evaluation.
 
-A per-dispatch worker pool pays two taxes that dominate Procedure 2's
-wall clock: the pool is rebuilt (and the simulator re-pickled) around
-every fault-simulation call, and every task ships the full test list
-through the executor's pickle channel.  This module avoids both, and
-adds a third, larger lever:
+Procedure 2 scores many candidate test sets ``TS(I, D1)`` against one
+unchanging session: the compiled circuit (simulator), ``TS0``, the
+config, the observation policy and the target-fault list.  This module
+keeps that session in one :class:`_Session` object, and every dispatch
+is scored by its :meth:`~_Session.rows`, in whichever process holds it:
 
-- **Persistent workers.**  One pool lives for the whole
-  :func:`~repro.core.procedure2.run_procedure2` session.  The compiled
-  circuit (simulator), ``TS0``, the config, the observation policy and
-  the collapsed target-fault list are published **once** into a
-  ``multiprocessing.shared_memory`` segment; workers attach lazily and
-  cache the decoded state for the life of the process.
+- **Workers inherit the session.**  One pool lives for the whole
+  :func:`~repro.core.procedure2.run_procedure2` session.  Its workers
+  receive the session through the executor's initializer; under the
+  ``fork`` start method they inherit it without serializing it, and a
+  respawned worker inherits it again.  (Under ``spawn`` or
+  ``forkserver`` the initializer arguments are serialized once per
+  worker start; results are the same.)
 - **Seed-only dispatch.**  A dispatch ships candidate specs
   (``(iteration, d1)`` pairs) plus the shard's fault *indices* into the
-  published target list -- a few hundred bytes.  Workers rebuild each
-  candidate ``TS(I, D1)`` deterministically from ``seed(I)``
-  (Procedure 1 is pure), caching built test sets per ``(I, D1)``.
+  session's target list -- a few hundred bytes.  Each process rebuilds
+  every candidate ``TS(I, D1)`` deterministically from ``seed(I)``
+  (Procedure 1 is pure), through one bounded cache per session.
 - **Batched candidate evaluation.**  A whole batch of ``(I, D1)``
   candidates is scored in one fanned-out pass
   (:meth:`~repro.faults.fault_sim.FaultSimulator.simulate_candidates`),
@@ -29,46 +30,30 @@ adds a third, larger lever:
   re-simulation (:func:`reconstruct_hits`).  Speculation is therefore
   free of result drift: outputs are byte-identical to the serial loop
   for any ``candidate_batch`` and any ``n_jobs``.
-
-Segment lifecycle and crash safety
-----------------------------------
-
-Segments are named ``rlspool_<fingerprint12>_<pid>_<seq>`` where the
-fingerprint is :func:`repro.robustness.checkpoint.session_fingerprint`
-over (circuit name, result-affecting config, target-fault list), so
-concurrent sessions never collide and a resumed session maps to the same
-identity.  The parent creates the segment (auto-registered with the
-``multiprocessing`` resource tracker) and is the only unlinker:
-``close()`` unlinks deterministically, a ``weakref.finalize`` backstop
-unlinks on garbage collection/interpreter exit, and if the parent is
-SIGKILLed the resource-tracker process (which outlives it) unlinks the
-registered segment.  Workers only ever attach and never unregister, so
-a SIGKILLed worker cannot strip the parent's protection; and workers
-die with their parent (:func:`~repro.faults.sharding.arm_pdeathsig`),
-so orphans never hold the tracker open (and the segment alive) after a
-parent SIGKILL.
+- **Small dispatches stay in the parent.**  Every worker still runs
+  each time unit's evaluation, so splitting a narrow fault list saves
+  little and a worker round trip costs more than it saves.  A dispatch
+  is split only into shards that each evaluate at least
+  ``_MIN_SHARD_CELLS`` value-matrix cells per time unit; otherwise the
+  parent scores it as one shard.
 
 Failure recovery is shard-granular under a
 :class:`~repro.faults.sharding.RecoveryPolicy`: per-shard timeout
 watchdog, deterministic seeded backoff retries, pool respawn after a
-crash or hang (the shared segment survives respawn), serial rescue in
-the parent for a shard that keeps failing, and a structured
+crash or hang, serial rescue in the parent for a shard that keeps
+failing, and a structured
 :class:`~repro.robustness.degradation.DegradationReport` of every
-action.
+action.  Workers die with their parent
+(:func:`~repro.faults.sharding.arm_pdeathsig`), so a SIGKILLed run
+leaves no orphans.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import pickle
-import sys
 import time
-import weakref
 from concurrent.futures import CancelledError, Executor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.fault_sim import (
@@ -93,20 +78,6 @@ from repro.robustness.degradation import DegradationReport
 #: ``(fault, batch_rank, test_index, time_unit, where)``.
 DetectionRow = Tuple[Fault, int, int, int, str]
 
-#: Canonical ``where`` objects.  Worker payloads come back through
-#: pickle, which does not intern strings, so every dispatch would
-#: otherwise contribute fresh (equal but distinct) ``where`` objects.
-#: The values a result holds then pickle with a different memo structure
-#: than the serial run's single shared constant -- breaking byte-for-byte
-#: result identity even though every comparison is equal.  Mapping each
-#: returned ``where`` through this table restores the serial identity
-#: graph.  The canonical object is the *interpreter-interned* one --
-#: the same choice ``DetectionRecord`` itself makes -- so rows and
-#: records agree no matter which module's string literal seeded them
-#: (hyphenated literals are not auto-interned, so each module gets its
-#: own copy).
-_WHERE_CANON = {where: sys.intern(where) for where in WHERE_RANK}
-
 #: One candidate test set by seed: ``(iteration, d1)``; ``d1 is None``
 #: denotes ``TS0`` itself.  Procedure 2's candidate sequence is fully
 #: deterministic -- ``I = 1..max_iterations`` crossed with the caller's
@@ -116,8 +87,17 @@ _WHERE_CANON = {where: sys.intern(where) for where in WHERE_RANK}
 #: specs across iteration boundaries.
 CandidateSpec = Tuple[int, Optional[int]]
 
-#: Cache bound on built ``TS(I, D1)`` test sets (worker and parent side).
+#: Cache bound on built ``TS(I, D1)`` test sets, per process.
 _TS_CACHE_LIMIT = 64
+
+#: Value-matrix cells per time unit, ``n_signals x columns``, that each
+#: shard of a split dispatch must evaluate.  Below it a worker round
+#: trip costs more than the split saves.  Per dispatch on a 2-vCPU
+#: host: on s298 (346 signals, 8 candidates x 8 tests) two shards of a
+#: 2-4-word dispatch took 1.4-1.7x as long as the parent alone, while
+#: on s1423 (1977 signals, 10 candidates x 32 tests) two shards were
+#: 6-30% faster at 2-6 words.
+_MIN_SHARD_CELLS = 1 << 20
 
 
 def reconstruct_hits(
@@ -142,14 +122,12 @@ def reconstruct_hits(
       dispatch-time list orders identically to position in any of its
       ordered subsets, so one ``order`` map serves every ``remaining``.
 
-    Keys and ``DetectionRecord.fault`` are the *caller's* fault objects,
-    not the equal copies that crossed the worker process boundary:
-    serial results alias each fault once (key and record share the
-    object), and aliasing is visible to ``pickle`` -- without interning,
-    a pooled result serializes differently from a byte-identical serial
-    one even though every comparison by value passes.  Interning also
-    drops the unpickled duplicates immediately instead of keeping one
-    extra Fault per detection alive in the table.
+    Keys and ``DetectionRecord.fault`` are the *caller's* fault objects
+    (those in ``remaining``), not merely equal ones: serial results
+    alias each fault once (key and record share the object), and a
+    byte-level serializer sees aliasing -- without interning, a pooled
+    result serializes differently from a byte-identical serial one even
+    though every comparison by value passes.
     """
     canon = {fault: fault for fault in remaining}
     best: Dict[Fault, DetectionRow] = {}
@@ -172,151 +150,112 @@ def reconstruct_hits(
     return hits
 
 
+class _Session:
+    """One Procedure 2 session's unchanging inputs, and its scorer.
+
+    The parent scores single-shard dispatches and serial rescues with
+    it; pool workers receive it once through the executor's initializer
+    (:func:`_init_worker`) and score every shard they are sent with it.
+    """
+
+    def __init__(
+        self,
+        simulator: Any,
+        ts0: Sequence[ScanTest],
+        config: Any,
+        n_sv: int,
+        policy: Optional[ObservationPolicy],
+        targets: Sequence[Fault],
+    ) -> None:
+        self.simulator = simulator
+        self.ts0 = list(ts0)
+        self.config = config
+        self.n_sv = n_sv
+        self.policy = policy
+        self.targets = list(targets)
+        self._tests: Dict[CandidateSpec, List[ScanTest]] = {}
+
+    def tests_for(self, spec: CandidateSpec) -> List[ScanTest]:
+        """One candidate test set, rebuilt from its seed; bounded cache."""
+        if spec not in self._tests:
+            from repro.core.limited_scan import build_limited_scan_test_set
+
+            if len(self._tests) >= _TS_CACHE_LIMIT:
+                self._tests.pop(next(iter(self._tests)))
+            iteration, d1 = spec
+            self._tests[spec] = (
+                self.ts0
+                if d1 is None
+                else build_limited_scan_test_set(
+                    self.ts0, iteration, d1, self.config, self.n_sv
+                )
+            )
+        return self._tests[spec]
+
+    def rows(
+        self, specs: Sequence[CandidateSpec], faults: Sequence[Fault]
+    ) -> List[List[tuple]]:
+        """Each spec's raw first-detection rows against ``faults``.
+
+        Rows name a fault by its position in ``faults``; see
+        :meth:`~repro.faults.fault_sim.FaultSimulator.simulate_candidates`.
+        """
+        rows = self.simulator.simulate_candidates(
+            [self.tests_for(spec) for spec in specs],
+            faults,
+            self.policy,
+            max_cols=MAX_COLS,
+        )
+        if rows is None:  # pragma: no cover - callers pre-check compatibility
+            raise RuntimeError(
+                "candidate preconditions failed after the dispatch-level "
+                "compatibility check passed"
+            )
+        return rows
+
+
 # ----------------------------------------------------------------------
 # Worker-process side.
 # ----------------------------------------------------------------------
-#: Per-process cache of decoded shared-memory state, keyed by segment
-#: name.  Fork workers start empty and attach on first task; the decoded
-#: state (compiled simulator, TS0, config) then lives as long as the
-#: worker, so every later dispatch is seed-only.
-_POOL_STATE: Dict[str, Dict[str, Any]] = {}
+#: The session this worker process scores against (:func:`_init_worker`).
+_SESSION: Optional[_Session] = None
 
 
-def _attach_state(segment_name: str) -> Dict[str, Any]:
-    state = _POOL_STATE.get(segment_name)
-    if state is not None:
-        return state
-    shm = shared_memory.SharedMemory(name=segment_name)
-    try:
-        size = int.from_bytes(bytes(shm.buf[:8]), "little")
-        payload = pickle.loads(bytes(shm.buf[8 : 8 + size]))
-    finally:
-        # Attach also registered the segment with the resource tracker;
-        # that is deliberate (idempotent set semantics) and must NOT be
-        # undone here: unregistering from a worker would strip the
-        # parent's SIGKILL protection.
-        shm.close()
-    payload["ts_cache"] = {}
-    _POOL_STATE[segment_name] = payload
-    return payload
+def _init_worker(session: _Session) -> None:
+    """Executor initializer: die with the parent, keep the session."""
+    global _SESSION
+    arm_pdeathsig()
+    _SESSION = session
 
 
-def _build_spec(
-    spec: CandidateSpec,
-    ts0: List[ScanTest],
-    config: Any,
-    n_sv: int,
-) -> List[ScanTest]:
-    from repro.core.limited_scan import build_limited_scan_test_set
-
-    iteration, d1 = spec
-    if d1 is None:
-        return ts0
-    return build_limited_scan_test_set(ts0, iteration, d1, config, n_sv)
-
-
-def _candidate_test_sets(
-    state: Dict[str, Any], specs: Sequence[CandidateSpec]
-) -> List[List[ScanTest]]:
-    """Rebuild candidate test sets from seeds, with a bounded cache."""
-    cache: Dict[CandidateSpec, List[ScanTest]] = state["ts_cache"]
-    out = []
-    for spec in specs:
-        if spec not in cache:
-            if len(cache) >= _TS_CACHE_LIMIT:
-                cache.pop(next(iter(cache)))
-            cache[spec] = _build_spec(
-                spec, state["ts0"], state["config"], state["n_sv"]
-            )
-        out.append(cache[spec])
-    return out
-
-
-def _evaluate_spec(
-    state: Dict[str, Any],
-    specs: Sequence[CandidateSpec],
-    fault_indices: Sequence[int],
-) -> List[List[tuple]]:
-    simulator = state["simulator"]
-    test_sets = _candidate_test_sets(state, specs)
-    faults = [state["targets"][j] for j in fault_indices]
-    rows = simulator.simulate_candidates(
-        test_sets, faults, state["policy"], max_cols=MAX_COLS
-    )
-    if rows is None:  # pragma: no cover - parent pre-checks compatibility
-        raise RuntimeError(
-            "candidate preconditions failed in worker; parent should have "
-            "taken the serial fallback"
-        )
-    return rows
-
-
-def _pool_worker_task(
-    segment_name: str,
+def _worker_rows(
     specs: Tuple[CandidateSpec, ...],
     fault_indices: Tuple[int, ...],
     inject: Optional[str],
     hang_seconds: float,
 ) -> List[List[tuple]]:
-    state = _attach_state(segment_name)
+    session = _SESSION
+    faults = [session.targets[j] for j in fault_indices]
     return execute_injected(
-        inject,
-        hang_seconds,
-        lambda: _evaluate_spec(state, specs, fault_indices),
+        inject, hang_seconds, lambda: session.rows(specs, faults)
     )
 
 
 # ----------------------------------------------------------------------
 # Parent side.
 # ----------------------------------------------------------------------
-_SEGMENT_SEQ = itertools.count()
-
-
-def _release_segment(shm: shared_memory.SharedMemory) -> None:
-    shm.close()
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - already gone
-        pass
-
-
 class PersistentWorkerPool:
-    """Executor + published session state for one Procedure 2 session.
+    """The worker processes of one Procedure 2 session.
 
-    Lifecycle: ``publish`` (shared-memory segment, at construction) ->
-    ``submit`` dispatches (workers fork on first use and attach to the
-    segment) -> ``kill`` on failure (workers respawn, segment survives)
-    -> ``close`` (workers down, segment unlinked).
+    Lifecycle: the first :meth:`submit` forks the workers, which inherit
+    the session -> ``submit`` dispatches -> :meth:`kill` on failure (the
+    next ``submit`` forks fresh workers, which inherit it again) ->
+    ``kill`` once more when the session closes.
     """
 
-    def __init__(
-        self, session_state: Dict[str, Any], n_jobs: int, fingerprint: str
-    ) -> None:
-        self.n_jobs = resolve_n_jobs(n_jobs)
-        data = pickle.dumps(session_state)
-        shm = None
-        for _ in range(128):
-            name = (
-                f"rlspool_{fingerprint[:12]}_{os.getpid()}_"
-                f"{next(_SEGMENT_SEQ)}"
-            )
-            try:
-                shm = shared_memory.SharedMemory(
-                    name=name, create=True, size=8 + len(data)
-                )
-                break
-            except FileExistsError:  # pragma: no cover - stale leftover
-                continue
-        if shm is None:  # pragma: no cover - 128 stale segments
-            raise RuntimeError("could not allocate a pool segment name")
-        shm.buf[:8] = len(data).to_bytes(8, "little")
-        shm.buf[8 : 8 + len(data)] = data
-        self.segment_name = shm.name
-        self._shm = shm
-        # At-most-once unlink: explicit close(), garbage collection and
-        # interpreter exit all funnel through this finalizer; a parent
-        # SIGKILL is covered by the resource tracker's own registration.
-        self._finalizer = weakref.finalize(self, _release_segment, shm)
+    def __init__(self, session: _Session, n_jobs: int) -> None:
+        self.session = session
+        self.n_jobs = n_jobs
         self._executor: Optional[Executor] = None
 
     def _ensure_executor(self) -> Executor:
@@ -326,7 +265,9 @@ class PersistentWorkerPool:
             # every per-worker cache (test-set, injection) run cold.
             workers = min(self.n_jobs, available_cpu_count())
             self._executor = ProcessPoolExecutor(
-                max_workers=workers, initializer=arm_pdeathsig
+                max_workers=workers,
+                initializer=_init_worker,
+                initargs=(self.session,),
             )
         return self._executor
 
@@ -338,19 +279,13 @@ class PersistentWorkerPool:
         hang_seconds: float,
     ) -> Future:
         return self._ensure_executor().submit(
-            _pool_worker_task,
-            self.segment_name,
-            specs,
-            fault_indices,
-            inject,
-            hang_seconds,
+            _worker_rows, specs, fault_indices, inject, hang_seconds
         )
 
     def kill(self) -> None:
-        """Terminate the workers (hung ones too); keep the segment.
+        """Terminate the workers (hung ones too) without waiting.
 
-        The next :meth:`submit` respawns fresh workers, which re-attach
-        to the already-published segment -- a respawn never re-publishes.
+        The next :meth:`submit` forks fresh workers.
         """
         if self._executor is not None:
             processes = list(getattr(self._executor, "_processes", {}).values())
@@ -359,16 +294,6 @@ class PersistentWorkerPool:
                 if proc.is_alive():
                     proc.terminate()
             self._executor = None
-
-    def close(self) -> None:
-        self.kill()
-        self._finalizer()
-
-    def __enter__(self) -> "PersistentWorkerPool":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
 
 
 def _valid_rows(payload: Any, n_candidates: int, shard_size: int) -> bool:
@@ -398,50 +323,39 @@ def _valid_rows(payload: Any, n_candidates: int, shard_size: int) -> bool:
 
 
 class _Table:
-    """Candidate-result base: lazily-built ``.tests``.
+    """Candidate-result base: the candidate's test set on ``.tests``.
 
-    ``tests_src`` is either the built test list or a zero-argument
-    callable producing it.  The Procedure 2 loop touches ``.tests`` only
-    for the pair bookkeeping of a *selected* candidate, so the pool path
-    -- where workers rebuild test sets from seeds anyway -- skips the
-    parent-side build entirely for the (vast majority of) candidates
-    that detect nothing new.
+    A table holds the session and its candidate's spec.  The Procedure 2
+    loop touches ``.tests`` only for the pair bookkeeping of a
+    *selected* candidate, so when workers score a window the parent
+    builds only those test sets -- not the vast majority of candidates,
+    which detect nothing new.
     """
 
-    def __init__(self, tests_src: Any) -> None:
-        if callable(tests_src):
-            self._tests_thunk = tests_src
-            self._tests: Optional[List[ScanTest]] = None
-        else:
-            self._tests_thunk = None
-            self._tests = tests_src
+    def __init__(self, session: _Session, spec: CandidateSpec) -> None:
+        self.session = session
+        self.spec = spec
 
     @property
     def tests(self) -> List[ScanTest]:
-        if self._tests is None:
-            self._tests = self._tests_thunk()
-        return self._tests
+        return self.session.tests_for(self.spec)
 
 
 class LazyTable(_Table):
     """Per-candidate result that defers to ``simulate_grouped``.
 
-    Used for single in-process candidates and whenever the batched
-    pass's exactness preconditions fail.  One :meth:`hits_for` call
-    issues exactly one ``simulate_grouped`` call, so dispatch counts
-    match the one-candidate-at-a-time loop precisely.
+    Used for a single candidate that runs in the parent and whenever the
+    batched pass's exactness preconditions fail.  One :meth:`hits_for`
+    call issues exactly one ``simulate_grouped`` call, so dispatch
+    counts match the one-candidate-at-a-time loop precisely.
     """
-
-    def __init__(self, simulator: Any, tests_src: Any, policy: Any) -> None:
-        super().__init__(tests_src)
-        self.simulator = simulator
-        self.policy = policy
 
     def hits_for(
         self, remaining: Sequence[Fault]
     ) -> Dict[Fault, DetectionRecord]:
-        return self.simulator.simulate_grouped(
-            self.tests, list(remaining), self.policy
+        session = self.session
+        return session.simulator.simulate_grouped(
+            self.tests, list(remaining), session.policy
         )
 
 
@@ -458,9 +372,10 @@ class ReconTable(_Table):
         self,
         rows: List[DetectionRow],
         order: Dict[Fault, int],
-        tests_src: Any,
+        session: _Session,
+        spec: CandidateSpec,
     ) -> None:
-        super().__init__(tests_src)
+        super().__init__(session, spec)
         self.rows = rows
         self.order = order
 
@@ -475,19 +390,22 @@ class CandidateEvaluator:
 
     One evaluator lives per Procedure 2 session.  The loop asks it to
     score candidate test sets (:meth:`evaluate_ts0`,
-    :meth:`evaluate_pairs`) and receives result *tables*; consuming a
+    :meth:`evaluate_specs`) and receives result *tables*; consuming a
     table against the then-current remaining list yields exactly what a
-    serial ``simulate_grouped`` call would have -- whichever back-end
-    produced it:
+    serial ``simulate_grouped`` call would have -- whichever route
+    produced it.  A dispatch splits its fault list into shards
+    (:meth:`_shard_count`), then takes one of three routes:
 
-    - ``n_jobs <= 1``: the in-process batched pass (a single candidate
-      is a plain lazy ``simulate_grouped`` pass-through);
-    - ``n_jobs > 1``: the :class:`PersistentWorkerPool`, shard-granular
-      recovery included.
+    - one shard and one candidate, or a window that fails the exactness
+      check: one lazy ``simulate_grouped`` table per candidate;
+    - one shard: the session's batched pass, in the parent;
+    - more than one shard: the :class:`PersistentWorkerPool`,
+      shard-granular recovery included.
 
-    ``shards`` overrides the dispatch's shard count (used by chaos tests
-    to force multi-shard dispatches regardless of host cores); the
-    default adapts to the hardware: ``min(n_jobs, cpu_count, n_words)``.
+    ``shards`` overrides the pool's shard count (tests use it to force
+    multi-shard dispatches regardless of host cores and dispatch size);
+    by default a dispatch is split only into shards that pay for a
+    worker round trip (``_MIN_SHARD_CELLS``).
     """
 
     def __init__(
@@ -499,19 +417,13 @@ class CandidateEvaluator:
         policy: Optional[ObservationPolicy],
         n_jobs: int,
         targets: Sequence[Fault],
-        circuit_name: str = "",
         recovery: Optional[RecoveryPolicy] = None,
         chaos: Optional[ChaosPlan] = None,
         shards: Optional[int] = None,
     ) -> None:
-        self.simulator = simulator
-        self.ts0 = list(ts0)
-        self.config = config
+        self._session = _Session(simulator, ts0, config, n_sv, policy, targets)
         self.n_sv = n_sv
-        self.policy = policy
         self.n_jobs = resolve_n_jobs(n_jobs)
-        self.targets = list(targets)
-        self.circuit_name = circuit_name
         self.recovery = recovery or RecoveryPolicy()
         self.chaos = chaos
         self.shards = shards
@@ -519,32 +431,21 @@ class CandidateEvaluator:
         self._use_pool = self.n_jobs > 1
         self._pool: Optional[PersistentWorkerPool] = None
         self._pool_unavailable = False
-        self._target_pos = {f: i for i, f in enumerate(self.targets)}
+        self._target_pos = {f: i for i, f in enumerate(self._session.targets)}
         self._dispatches = 0
-        self._ts_cache: Dict[CandidateSpec, List[ScanTest]] = {}
         self._length_partition_cache: Optional[List[List[int]]] = None
 
     @property
     def batch(self) -> int:
         """Candidates the Procedure 2 loop should hand over per call."""
-        return max(1, getattr(self.config, "candidate_batch", 1))
+        return max(1, getattr(self._session.config, "candidate_batch", 1))
 
     # ------------------------------------------------------------------
-    def _tests_for(self, spec: CandidateSpec) -> List[ScanTest]:
-        """Build (or fetch) one candidate test set, bounded cache."""
-        if spec not in self._ts_cache:
-            if len(self._ts_cache) >= _TS_CACHE_LIMIT:
-                self._ts_cache.pop(next(iter(self._ts_cache)))
-            self._ts_cache[spec] = _build_spec(
-                spec, self.ts0, self.config, self.n_sv
-            )
-        return self._ts_cache[spec]
-
     def _length_partition(self) -> List[List[int]]:
         """``TS0`` indices grouped by test length, first-appearance order."""
         if self._length_partition_cache is None:
             groups: Dict[int, List[int]] = {}
-            for i, test in enumerate(self.ts0):
+            for i, test in enumerate(self._session.ts0):
                 groups.setdefault(test.length, []).append(i)
             self._length_partition_cache = list(groups.values())
         return self._length_partition_cache
@@ -565,14 +466,15 @@ class CandidateEvaluator:
         """
         if n_faults <= 0 or not specs:
             return False
-        if getattr(self.config, "reseed_per_test", False):
+        session = self._session
+        if getattr(session.config, "reseed_per_test", False):
             n_groups = (n_faults + 63) // 64
             chunk_tests = max(1, MAX_COLS // max(n_groups, 1))
             return all(
                 len(idx) <= chunk_tests for idx in self._length_partition()
             )
-        test_sets = [self._tests_for(spec) for spec in specs]
-        return self.simulator.candidates_compatible(
+        test_sets = [session.tests_for(spec) for spec in specs]
+        return session.simulator.candidates_compatible(
             test_sets, n_faults, max_cols=MAX_COLS
         )
 
@@ -593,91 +495,76 @@ class CandidateEvaluator:
         ``self.batch``-sized windows and consumes the tables against
         whatever the remaining list has shrunk to by then --
         :func:`reconstruct_hits` keeps that exact.  Each table carries
-        its candidate's test set on ``.tests`` (built lazily).
+        its candidate's test set on ``.tests`` (built on demand).
         """
         specs = [tuple(spec) for spec in specs]
         remaining = list(remaining)
-
-        def lazy() -> List[Any]:
-            return [
-                LazyTable(
-                    self.simulator,
-                    lambda spec=spec: self._tests_for(spec),
-                    self.policy,
+        n_shards = self._shard_count(len(specs), len(remaining))
+        if (n_shards == 1 and len(specs) == 1) or not self._compatible(
+            specs, len(remaining)
+        ):
+            # A single candidate in the parent is the plain serial call:
+            # the batched pass with C=1, minus overhead.
+            return [LazyTable(self._session, spec) for spec in specs]
+        shards = shard_faults(remaining, n_shards)
+        if n_shards == 1:
+            payloads = [self._session.rows(specs, remaining)]
+        else:
+            payloads = self._run_pool_dispatch(tuple(specs), shards)
+        merged: List[List[DetectionRow]] = [[] for _ in specs]
+        for shard, payload in zip(shards, payloads):
+            for cand_rows, rows in zip(merged, payload):
+                cand_rows.extend(
+                    (shard[r[0]], r[1], r[2], r[3], r[4]) for r in rows
                 )
-                for spec in specs
-            ]
-
-        if not self._use_pool or self._pool_unavailable:
-            if len(specs) == 1:
-                # Single candidate, in-process: the plain serial call is
-                # the batched pass with C=1, minus overhead.
-                return lazy()
-            test_sets = [self._tests_for(spec) for spec in specs]
-            rows = self.simulator.simulate_candidates(
-                test_sets, remaining, self.policy, max_cols=MAX_COLS
-            )
-            if rows is None:
-                return lazy()
-            order = {f: i for i, f in enumerate(remaining)}
-            return [
-                ReconTable(
-                    [(remaining[r[0]], r[1], r[2], r[3], r[4]) for r in cand],
-                    order,
-                    ts,
-                )
-                for cand, ts in zip(rows, test_sets)
-            ]
-        if not self._compatible(specs, len(remaining)):
-            return lazy()
-        dispatch = self._dispatches
-        self._dispatches += 1
-        merged = self._run_pool_dispatch(dispatch, tuple(specs), remaining)
         order = {f: i for i, f in enumerate(remaining)}
         return [
-            ReconTable(cand, order, lambda spec=spec: self._tests_for(spec))
-            for cand, spec in zip(merged, specs)
+            ReconTable(rows, order, self._session, spec)
+            for rows, spec in zip(merged, specs)
         ]
 
     # -- the hardened pool dispatch ------------------------------------
-    def _shard_count(self, n_faults: int) -> int:
-        n_words = max(1, (n_faults + 63) // 64)
+    def _shard_count(self, n_specs: int, n_faults: int) -> int:
+        """Shards of one dispatch; one shard runs in the parent.
+
+        The largest count up to ``min(n_jobs, cpu_count, n_words)``
+        whose smallest shard evaluates at least ``_MIN_SHARD_CELLS``
+        value-matrix cells per time unit: ``n_signals`` rows by one
+        column per candidate, test and fault word plus the reference
+        slot, capped at ``MAX_COLS``.
+        """
+        if not self._use_pool or self._pool_unavailable:
+            return 1
+        n_words = (n_faults + 63) // 64
         if self.shards is not None:
             return max(1, min(self.shards, n_words))
-        cores = available_cpu_count()
-        return max(1, min(self.n_jobs, cores, n_words))
-
-    def _rescue_serial(
-        self,
-        specs: Tuple[CandidateSpec, ...],
-        shard: List[Fault],
-    ) -> List[List[DetectionRow]]:
-        test_sets = [self._tests_for(spec) for spec in specs]
-        rows = self.simulator.simulate_candidates(
-            test_sets, shard, self.policy, max_cols=MAX_COLS
-        )
-        if rows is None:  # pragma: no cover - compatibility is monotone
-            raise RuntimeError(
-                "serial rescue hit incompatible candidates after the "
-                "dispatch-level compatibility check passed"
-            )
-        return [
-            [(shard[r[0]], r[1], r[2], r[3], r[4]) for r in cand]
-            for cand in rows
-        ]
+        n_signals = self._session.simulator.model.n_signals
+        per_word = n_specs * len(self._session.ts0)
+        most = min(self.n_jobs, available_cpu_count(), n_words)
+        for k in range(most, 1, -1):
+            cols = min(MAX_COLS, per_word * (n_words // k + 1))
+            if n_signals * cols >= _MIN_SHARD_CELLS:
+                return k
+        return 1
 
     def _run_pool_dispatch(
         self,
-        dispatch: int,
         specs: Tuple[CandidateSpec, ...],
-        remaining: List[Fault],
-    ) -> List[List[DetectionRow]]:
+        shards: List[List[Fault]],
+    ) -> List[List[List[tuple]]]:
+        """Each shard's raw rows, scored by the pool workers.
+
+        A shard the pool cannot deliver is rescued by the parent's own
+        :meth:`_Session.rows`, exactly as a single-shard dispatch is
+        scored.
+        """
+        dispatch = self._dispatches
+        self._dispatches += 1
         recovery = self.recovery
-        shards = shard_faults(remaining, self._shard_count(len(remaining)))
         shard_indices = [
             tuple(self._target_pos[f] for f in shard) for shard in shards
         ]
-        out: List[Optional[List[List[DetectionRow]]]] = [None] * len(shards)
+        out: List[Optional[List[List[tuple]]]] = [None] * len(shards)
         attempts = [0] * len(shards)
         pending = list(range(len(shards)))
 
@@ -704,17 +591,17 @@ class CandidateEvaluator:
                 # respawn below and retry the pending shards.
                 submit_failure = exc
             except Exception as exc:
-                # The pool cannot be built or fed (fork failure, shm
-                # exhaustion, unpicklable state): rescue everything
-                # still pending serially and stay in-process from now on.
+                # The pool cannot be built or fed (fork failure,
+                # unpicklable state under spawn): rescue everything still
+                # pending in the parent and stay there from now on.
                 for i in pending:
                     self.degradation.record(
                         dispatch, i, attempts[i], "pool-unavailable",
                         "serial", repr(exc),
                     )
-                    out[i] = self._rescue_serial(specs, shards[i])
+                    out[i] = self._session.rows(specs, shards[i])
                 self._pool_unavailable = True
-                self.close_pool()
+                self.close()
                 break
 
             failed: List[Tuple[int, str, str]] = []
@@ -769,18 +656,11 @@ class CandidateEvaluator:
                          "shard returned malformed candidate rows")
                     )
                     continue
-                shard = shards[i]
-                out[i] = [
-                    [
-                        (shard[r[0]], r[1], r[2], r[3], _WHERE_CANON[r[4]])
-                        for r in cand
-                    ]
-                    for cand in payload
-                ]
+                out[i] = payload
 
             if pool_dead and self._pool is not None:
-                # Respawn the workers; the published segment survives, so
-                # the respawned pool re-attaches without re-publishing.
+                # Respawn the workers: the next submit forks fresh ones,
+                # which inherit the session again.
                 self._pool.kill()
                 self.degradation.pool_respawns += 1
 
@@ -790,7 +670,7 @@ class CandidateEvaluator:
                     self.degradation.record(
                         dispatch, i, attempts[i], kind, "serial", detail
                     )
-                    out[i] = self._rescue_serial(specs, shards[i])
+                    out[i] = self._session.rows(specs, shards[i])
                 else:
                     self.degradation.record(
                         dispatch, i, attempts[i], kind, "retry", detail
@@ -802,28 +682,10 @@ class CandidateEvaluator:
                     next_pending.append(i)
             pending = next_pending
 
-        merged: List[List[DetectionRow]] = [[] for _ in specs]
-        for shard_rows in out:
-            assert shard_rows is not None
-            for c, cand_rows in enumerate(shard_rows):
-                merged[c].extend(cand_rows)
-        return merged
+        return out
 
     def _make_pool(self) -> PersistentWorkerPool:
-        from repro.robustness.checkpoint import session_fingerprint
-
-        fingerprint = session_fingerprint(
-            self.circuit_name, self.config, self.targets
-        )
-        session_state = {
-            "simulator": self.simulator,
-            "ts0": self.ts0,
-            "config": self.config,
-            "policy": self.policy,
-            "targets": self.targets,
-            "n_sv": self.n_sv,
-        }
-        return PersistentWorkerPool(session_state, self.n_jobs, fingerprint)
+        return PersistentWorkerPool(self._session, self.n_jobs)
 
     def _chaos_action(
         self, dispatch: int, shard: int, attempt: int
@@ -833,13 +695,11 @@ class CandidateEvaluator:
         return self.chaos.action(dispatch, shard, attempt)
 
     # ------------------------------------------------------------------
-    def close_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
     def close(self) -> None:
-        self.close_pool()
+        """Stop the workers, if any, without waiting for them to exit."""
+        if self._pool is not None:
+            self._pool.kill()
+            self._pool = None
 
     def __enter__(self) -> "CandidateEvaluator":
         return self

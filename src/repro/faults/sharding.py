@@ -54,11 +54,11 @@ def arm_pdeathsig() -> None:
 
     An orphaned child must not linger after its parent is SIGKILLed: a
     sandboxed job would keep appending to a checkpoint journal the
-    restarted service resumes from, and an idle pool worker would hold
-    the resource tracker open -- and with it the parent's shared-memory
-    segment.  On Linux the kernel delivers SIGKILL to the child the
-    moment its parent (strictly: the forking thread) dies; elsewhere
-    this is a no-op and callers fall back on wall-clock budgets.
+    restarted service resumes from, and an idle pool worker would keep
+    its copy of the session alive for nothing.  On Linux the kernel
+    delivers SIGKILL to the child the moment its parent (strictly: the
+    forking thread) dies; elsewhere this is a no-op and callers fall
+    back on wall-clock budgets.
     """
     try:
         import ctypes

@@ -92,15 +92,13 @@ def circuit_fingerprint(circuit: "Any") -> str:
 def session_fingerprint(
     circuit_name: str, config: "Any", target_faults: Iterable[Fault]
 ) -> str:
-    """SHA-256 identity of one Procedure 2 session's published inputs.
+    """SHA-256 identity of one Procedure 2 session's inputs.
 
     Hashes the circuit name, the result-affecting config
     (:meth:`BistConfig.to_dict` -- execution knobs excluded) and the
-    ordered target-fault list.  The persistent worker pool keys its
-    shared-memory segment names on a prefix of this digest, so
-    concurrent sessions over different circuits or configs can never
-    collide on a segment, while a resumed session maps to the same
-    identity as the original run.
+    ordered target-fault list.  The job service stores it in every job
+    record and cached result as provenance; a resumed session maps to
+    the same identity as the original run.
     """
     digest = hashlib.sha256()
     digest.update(circuit_name.encode("utf-8"))

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-import glob
+import functools
+import multiprocessing
+import time
+import types
+from concurrent.futures import process as futures_process
 
 import pytest
 
@@ -10,30 +14,77 @@ from repro.bench_circuits.s27 import s27_circuit
 from repro.bench_circuits.synthetic import SyntheticSpec, synthesize
 from repro.circuit.library import GateType
 from repro.circuit.netlist import Circuit
+from repro.core import procedure2
 from repro.faults.model import FaultGraph
+from repro.faults.pool import CandidateEvaluator, PersistentWorkerPool
+
+#: Seconds a test's terminated pool workers get to exit: ``close()``
+#: does not wait for them.
+WORKER_EXIT_TIMEOUT_S = 10.0
 
 
-def _pool_segments() -> set:
-    """Live shared-memory segments of the persistent worker pool."""
-    return set(glob.glob("/dev/shm/rlspool_*"))
+def _pool_workers() -> set:
+    """Pids of this process's live executor workers (the pool's).
+
+    Other children -- the job processes of a ``repro serve`` fixture, for
+    one -- run a different target and do not count.
+    """
+    return {
+        proc.pid
+        for proc in multiprocessing.active_children()
+        if getattr(proc, "_target", None) is futures_process._process_worker
+    }
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_pool_segments():
-    """Every test must release its worker-pool shared memory.
+def no_leaked_pool_workers():
+    """Every test must stop the worker processes it started.
 
-    The persistent pool publishes session state under
-    ``/dev/shm/rlspool_*``; a segment that survives a test means a
-    missing ``close_pool()``/finalizer on some path (including crash
-    recovery), which would leak kernel memory across Procedure 2
-    sessions.  Segments that already existed before the test (another
-    process, a leak under investigation) are tolerated but new ones are
-    not.
+    A pool worker that outlives its test means a missing ``close()`` on
+    some path (including crash recovery), which would leak processes
+    across Procedure 2 sessions.  Workers that already existed before
+    the test are tolerated, but new ones are not.
     """
-    before = _pool_segments()
+    before = _pool_workers()
     yield
-    leaked = _pool_segments() - before
-    assert not leaked, f"leaked worker-pool segments: {sorted(leaked)}"
+    deadline = time.monotonic() + WORKER_EXIT_TIMEOUT_S
+    leaked = _pool_workers() - before
+    while leaked and time.monotonic() < deadline:
+        time.sleep(0.02)
+        leaked = _pool_workers() - before
+    assert not leaked, f"leaked worker-pool processes: {sorted(leaked)}"
+
+
+@pytest.fixture
+def pool_submits(monkeypatch):
+    """Counts shard submissions to pool workers (``.count``).
+
+    A pool test asserts a count above zero, so that it cannot pass by
+    scoring everything in the parent.
+    """
+    counter = types.SimpleNamespace(count=0)
+    submit = PersistentWorkerPool.submit
+
+    def counting(self, *args, **kwargs):
+        counter.count += 1
+        return submit(self, *args, **kwargs)
+
+    monkeypatch.setattr(PersistentWorkerPool, "submit", counting)
+    return counter
+
+
+@pytest.fixture
+def two_shards(monkeypatch):
+    """Procedure 2 splits every dispatch it can into two pool shards.
+
+    Without it a small test circuit's dispatches are too small to pay
+    for a worker round trip, and they run in the parent.
+    """
+    monkeypatch.setattr(
+        procedure2,
+        "CandidateEvaluator",
+        functools.partial(CandidateEvaluator, shards=2),
+    )
 
 
 @pytest.fixture

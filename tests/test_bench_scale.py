@@ -82,8 +82,8 @@ class TestSmokeBenchmark:
 
     def test_consecutive_runs_do_not_grow_memory(self, smoke_payload):
         """The second serial run reuses the warmed process: if peak RSS
-        grows more than noise, per-run state (an object netlist, a pool
-        segment) is leaking."""
+        grows more than noise, per-run state (an object netlist, a
+        cached test set) is leaking."""
         cold, warm, _ = smoke_payload["procedure2"]
         assert warm["maxrss_mb"] <= cold["maxrss_mb"] * 1.10, (cold, warm)
 

@@ -12,7 +12,6 @@ finishes at TS0 and would never exercise the loop.
 """
 
 import dataclasses
-import glob
 import itertools
 import json
 import os
@@ -274,12 +273,18 @@ class TestResumeByteIdentity:
         resumed = resume_procedure2(circuit, RIG_CONFIG, faults, str(path))
         assert blob(resumed) == clean_blob
 
-    def test_parallel_interrupt_parallel_resume(self, rig, tmp_path):
+    def test_parallel_interrupt_parallel_resume(
+        self, rig, tmp_path, two_shards, pool_submits
+    ):
         circuit, faults, clean_blob = rig
         path = tmp_path / "j.jsonl"
         parallel = dataclasses.replace(RIG_CONFIG, n_jobs=4)
         interrupted_run(circuit, parallel, faults, path, 9)
+        interrupted = pool_submits.count
+        assert interrupted > 0
         resumed = resume_procedure2(circuit, parallel, faults, str(path))
+        assert pool_submits.count > interrupted
+        assert resumed.degradation is None
         assert blob(resumed) == clean_blob
 
     def test_double_resume_is_stable(self, rig, tmp_path):
@@ -324,10 +329,12 @@ class TestResumeByteIdentity:
 
 
 #: Child process used by the signal tests: runs the rig checkpointed on
-#: ``n_jobs`` workers, with every checkpoint commit paced so the parent
-#: can reliably land a signal mid-run.
+#: ``n_jobs`` workers, every dispatch split into two pool shards, with
+#: every checkpoint commit paced so the parent can reliably land a
+#: signal mid-run.
 #: argv: <src-dir> <journal> <n_jobs> <commit-delay-seconds>.
 CHILD_SCRIPT = """\
+import functools
 import sys
 
 src, journal, n_jobs, delay = (
@@ -336,11 +343,14 @@ src, journal, n_jobs, delay = (
 sys.path.insert(0, src)
 
 from repro.bench_circuits.synthetic import SyntheticSpec, synthesize
+from repro.core import procedure2
 from repro.core.config import BistConfig
 from repro.core.procedure2 import run_procedure2
 from repro.faults.collapse import collapse_faults
+from repro.faults.pool import CandidateEvaluator
 from repro.robustness.chaos import install_commit_bomb
 
+procedure2.CandidateEvaluator = functools.partial(CandidateEvaluator, shards=2)
 circuit = synthesize(SyntheticSpec(
     name="mini208", n_pi=10, n_po=1, n_ff=8, n_gates=96, seed=5))
 config = BistConfig(la=2, lb=4, n=2, n_same_fc=2, max_iterations=8,
@@ -351,10 +361,36 @@ print("DONE", flush=True)
 """
 
 
+def _children_of(pid):
+    """Pids whose parent is ``pid``, read from ``/proc``."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[1]) == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+def _running(pid):
+    """Whether ``pid`` is alive and not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 @pytest.mark.slow
 class TestSignalResume:
     def _interrupt_child(self, tmp_path, n_jobs, sig, cursors=2):
-        """Start the rig in a child, signal it mid-run, return journal."""
+        """Start the rig in a child, signal it mid-run, return journal.
+
+        A pooled child must have had worker processes when it was
+        signalled, and they must exit with it.
+        """
         journal = tmp_path / "journal.jsonl"
         script = tmp_path / "child.py"
         script.write_text(CHILD_SCRIPT)
@@ -379,19 +415,25 @@ class TestSignalResume:
             assert proc.poll() is None, (
                 "child finished (or died) before it could be interrupted"
             )
+            workers = _children_of(proc.pid)
             os.kill(proc.pid, sig)
             proc.wait(timeout=60)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-        # A killed child's pool segment is unlinked by the resource
-        # tracker that outlives it, once its orphaned workers exit.
-        segments = f"/dev/shm/rlspool_*_{proc.pid}_*"
+        assert bool(workers) == (n_jobs > 1), workers
+        # Workers die with their parent (PR_SET_PDEATHSIG on a SIGKILL,
+        # the evaluator's close() on a SIGINT).
         deadline = time.perf_counter() + 30.0
-        while glob.glob(segments) and time.perf_counter() < deadline:
+        while (
+            any(_running(pid) for pid in workers)
+            and time.perf_counter() < deadline
+        ):
             time.sleep(0.05)
-        assert not glob.glob(segments), "killed child leaked its segment"
+        assert not any(_running(pid) for pid in workers), (
+            "the signalled child's pool workers outlived it"
+        )
         return journal
 
     @pytest.mark.parametrize("n_jobs", [1, 4])

@@ -241,7 +241,7 @@ def _pool_case(seed: int):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_pool_vs_serial_vs_sharded_identical(seed):
+def test_pool_vs_serial_vs_sharded_identical(seed, pool_submits):
     """Candidate tables from the fault-sharded pool evaluator == serial."""
     circuit, cfg, ts0, faults = _pool_case(seed)
     sim = FaultSimulator(circuit)
@@ -265,10 +265,11 @@ def test_pool_vs_serial_vs_sharded_identical(seed):
     )
     evaluator = CandidateEvaluator(
         sim, ts0, pooled_cfg, n_sv, None,
-        n_jobs=2, targets=faults, circuit_name=circuit.name,
+        n_jobs=2, targets=faults, shards=2,
     )
     try:
         tables = evaluator.evaluate_specs(specs, faults)
+        assert pool_submits.count > 0 and not evaluator.degradation.degraded
         for spec, table in zip(specs, tables):
             hits = table.hits_for(faults)
             # Content AND insertion order must match the serial call.
@@ -278,31 +279,41 @@ def test_pool_vs_serial_vs_sharded_identical(seed):
 
 
 class TestProcedure2PoolByteIdentity:
-    """Full Procedure 2 byte-identity across the n_jobs x batch grid."""
+    """Full Procedure 2 byte-identity across the n_jobs x batch grid.
+
+    The pooled runs split every dispatch into two pool shards.
+    """
 
     CFG = BistConfig(la=4, lb=8, n=16, n_same_fc=2, max_iterations=6)
     GRID = [(1, 1), (1, 8), (2, 1), (2, 8), (4, 1), (4, 8)]
 
     def _run(self, circuit, faults, cfg, checkpoint=None):
         result = run_procedure2(circuit, cfg, faults, checkpoint=checkpoint)
+        assert result.degradation is None  # no shard needed a rescue
         return json.dumps(result_to_dict(result), sort_keys=True)
 
-    def test_result_blob_identical_across_grid(self, s27):
-        faults = collapse_faults(s27)
-        baseline = self._run(s27, faults, self.CFG)
+    def test_result_blob_identical_across_grid(
+        self, medium_synth, two_shards, pool_submits
+    ):
+        faults = collapse_faults(medium_synth)
+        baseline = self._run(medium_synth, faults, self.CFG)
         for jobs, batch in self.GRID:
             cfg = dataclasses.replace(
                 self.CFG, n_jobs=jobs, pool="persistent",
                 candidate_batch=batch,
             )
-            assert self._run(s27, faults, cfg) == baseline, (
+            submitted = pool_submits.count
+            assert self._run(medium_synth, faults, cfg) == baseline, (
                 f"n_jobs={jobs} candidate_batch={batch} diverged"
             )
+            assert (pool_submits.count > submitted) == (jobs > 1)
 
-    def test_journal_bytes_identical_across_grid(self, s27, tmp_path):
-        faults = collapse_faults(s27)
+    def test_journal_bytes_identical_across_grid(
+        self, medium_synth, tmp_path, two_shards, pool_submits
+    ):
+        faults = collapse_faults(medium_synth)
         ref_path = tmp_path / "serial.jsonl"
-        self._run(s27, faults, self.CFG, checkpoint=str(ref_path))
+        self._run(medium_synth, faults, self.CFG, checkpoint=str(ref_path))
         reference = ref_path.read_bytes()
         for jobs, batch in [(2, 8), (4, 1), (4, 8)]:
             path = tmp_path / f"pool_{jobs}_{batch}.jsonl"
@@ -310,7 +321,9 @@ class TestProcedure2PoolByteIdentity:
                 self.CFG, n_jobs=jobs, pool="persistent",
                 candidate_batch=batch,
             )
-            self._run(s27, faults, cfg, checkpoint=str(path))
+            submitted = pool_submits.count
+            self._run(medium_synth, faults, cfg, checkpoint=str(path))
+            assert pool_submits.count > submitted
             assert path.read_bytes() == reference, (
                 f"journal diverged at n_jobs={jobs} batch={batch}"
             )

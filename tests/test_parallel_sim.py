@@ -3,19 +3,22 @@
 Covers the sharding helpers, bit-exact equivalence of multi-shard pool
 dispatches with serial ``simulate_grouped`` (and of sharded PPSFP with
 serial PPSFP), graceful degradation to
-in-process evaluation, the publish-once discipline, and the
-n_jobs=1-vs-4 determinism regression on Procedure 2 (byte-identical
-serialized results).
+in-process evaluation, workers inheriting the session without
+serializing it, and the n_jobs=1-vs-4 determinism regression on
+Procedure 2 (byte-identical serialized results).
 """
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import pickle
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.bench_circuits.catalog import load_circuit
 from repro.bench_circuits.synthetic import SyntheticSpec, synthesize
 from repro.core.config import BistConfig
 from repro.core.limited_scan import build_limited_scan_test_set
@@ -41,8 +44,7 @@ def make_evaluator(circuit, faults, policy=None, n_jobs=2, shards=3):
     ts0 = generate_ts0(circuit, CFG)
     return CandidateEvaluator(
         FaultSimulator(circuit), ts0, CFG, circuit.num_state_vars, policy,
-        n_jobs=n_jobs, targets=faults, circuit_name=circuit.name,
-        shards=shards,
+        n_jobs=n_jobs, targets=faults, shards=shards,
     )
 
 
@@ -154,16 +156,58 @@ class TestShardedEquivalence:
                 medium_synth, spec, faults
             )
 
-    def test_detected_by_universe_order(self, s27):
+    def test_detected_by_universe_order(self, medium_synth, pool_submits):
         # The pooled TS0 table detects exactly what the per-test path
         # does; in universe order the two lists are equal.
-        faults = collapse_faults(s27)
-        with make_evaluator(s27, faults, shards=1) as ev:
+        faults = collapse_faults(medium_synth)
+        with make_evaluator(medium_synth, faults, shards=2) as ev:
             hits = ev.evaluate_ts0(faults).hits_for(faults)
+        assert pool_submits.count > 0 and not ev.degradation.degraded
         pooled = [f for f in faults if f in hits]
-        assert pooled == FaultSimulator(s27).detected_by(
-            generate_ts0(s27, CFG), faults
+        assert pooled == FaultSimulator(medium_synth).detected_by(
+            generate_ts0(medium_synth, CFG), faults
         )
+
+
+class TestSmallDispatchRule:
+    """A dispatch is split only into shards that pay for a round trip.
+
+    Each shard must evaluate ``_MIN_SHARD_CELLS`` value-matrix cells per
+    time unit: ``n_signals`` x one column per candidate, test and fault
+    word, plus the reference slot.  Two cores are assumed, whatever the
+    host has.
+    """
+
+    @staticmethod
+    def _evaluator(name, cfg, monkeypatch, n_jobs=2):
+        monkeypatch.setattr(pool_mod, "available_cpu_count", lambda: 2)
+        circuit = load_circuit(name)
+        return CandidateEvaluator(
+            FaultSimulator(circuit), generate_ts0(circuit, cfg), cfg,
+            circuit.num_state_vars, None, n_jobs=n_jobs,
+            targets=collapse_faults(circuit),
+        )
+
+    def test_small_circuit_stays_in_parent(self, monkeypatch):
+        # s298, 8 candidates x 8 tests: 346 signals x 8 x 8 x 3 columns
+        # per two-word shard is far below the bound.
+        ev = self._evaluator("s298", BistConfig(la=4, lb=8, n=8), monkeypatch)
+        assert ev._shard_count(8, 4 * 64) == 1
+        ev.shards = 2  # the test hook bypasses the rule
+        assert ev._shard_count(8, 4 * 64) == 2
+
+    def test_wide_dispatch_splits(self, monkeypatch):
+        cfg = BistConfig(la=8, lb=16, n=32)
+        ev = self._evaluator("s1423", cfg, monkeypatch)
+        # 1977 signals x 10 candidates x 32 tests x 2 columns per
+        # one-word shard: 1.27M cells.
+        assert ev._shard_count(10, 2 * 64) == 2
+        # One candidate on the same two words: 127k cells.
+        assert ev._shard_count(1, 2 * 64) == 1
+        # TS0 against all 36 words: 1977 x 32 x 19 columns per shard.
+        assert ev._shard_count(1, 36 * 64) == 2
+        serial = self._evaluator("s1423", cfg, monkeypatch, n_jobs=1)
+        assert serial._shard_count(10, 36 * 64) == 1
 
 
 class TestGracefulDegradation:
@@ -215,22 +259,29 @@ class TestPpsfpSharded:
 
 
 class TestProcedure2Determinism:
-    """Same seed => byte-identical serialized results for n_jobs 1 vs 4."""
+    """Same seed => byte-identical serialized results for n_jobs 1 vs 4.
+
+    The parallel runs split every dispatch into two pool shards.
+    """
 
     CFG = BistConfig(la=4, lb=8, n=16, n_same_fc=2, max_iterations=6)
 
     def _serialized(self, circuit, cfg):
         result = run_procedure2(circuit, cfg, collapse_faults(circuit))
+        assert result.degradation is None  # no shard needed a rescue
         return json.dumps(result_to_dict(result), sort_keys=True)
 
-    def test_s27_byte_identical(self, s27):
-        serial = self._serialized(s27, self.CFG)
+    def test_medium_synth_byte_identical(
+        self, medium_synth, two_shards, pool_submits
+    ):
+        serial = self._serialized(medium_synth, self.CFG)
         parallel = self._serialized(
-            s27, dataclasses.replace(self.CFG, n_jobs=4)
+            medium_synth, dataclasses.replace(self.CFG, n_jobs=4)
         )
+        assert pool_submits.count > 0
         assert parallel == serial
 
-    def test_synthetic_byte_identical(self):
+    def test_synthetic_byte_identical(self, two_shards, pool_submits):
         circuit = synthesize(
             SyntheticSpec(name="det", n_pi=5, n_po=2, n_ff=5, n_gates=40, seed=23)
         )
@@ -238,6 +289,7 @@ class TestProcedure2Determinism:
         parallel = self._serialized(
             circuit, dataclasses.replace(self.CFG, n_jobs=4)
         )
+        assert pool_submits.count > 0
         assert parallel == serial
 
     def test_explicit_n_jobs_argument_wins(self, s27):
@@ -254,65 +306,76 @@ class TestProcedure2Determinism:
 
 
 class TestTs0Parallel:
-    def test_ts0_detection_counts_match(self, s27):
-        faults = collapse_faults(s27)
-        with make_evaluator(s27, faults, n_jobs=4) as ev:
+    def test_ts0_detection_counts_match(self, medium_synth, pool_submits):
+        faults = collapse_faults(medium_synth)
+        with make_evaluator(medium_synth, faults, n_jobs=4) as ev:
             hits = ev.evaluate_ts0(faults).hits_for(faults)
-        assert hits == serial_hits(s27, (0, None), faults)
+        assert pool_submits.count > 0 and not ev.degradation.degraded
+        assert hits == serial_hits(medium_synth, (0, None), faults)
 
 
-class TestPicklingDiscipline:
-    """The session state is serialized exactly once per evaluator.
+class TestForkInheritance:
+    """Pool workers inherit the session; nothing serializes it.
 
-    The persistent pool publishes the simulator, ``TS0`` and the target
-    list into one shared-memory segment; dispatches, respawns and serial
-    rescues must never serialize it again.
+    The pool hands the session (simulator, ``TS0``, targets) to its
+    workers through the executor's initializer.  Under ``fork`` they
+    inherit it, across dispatches and after a respawn alike: counting
+    ``__getstate__`` calls on the session class catches any
+    serialization.
     """
 
-    @staticmethod
-    def _count_publications(monkeypatch):
-        counts = {"n": 0}
-        real_dumps = pool_mod.pickle.dumps
-
-        def counting_dumps(obj, *a, **k):
-            if isinstance(obj, dict) and "simulator" in obj:
-                counts["n"] += 1
-            return real_dumps(obj, *a, **k)
-
-        monkeypatch.setattr(pool_mod.pickle, "dumps", counting_dumps)
-        return counts
-
-    def test_pickled_once_across_dispatches_and_respawn(
-        self, medium_synth, monkeypatch
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only forked workers inherit the session unserialized",
+    )
+    def test_session_never_serialized_under_fork(
+        self, medium_synth, monkeypatch, pool_submits
     ):
+        counts = {"n": 0}
+        getstate = getattr(
+            pool_mod._Session, "__getstate__", lambda self: self.__dict__
+        )
+
+        def counting(self):
+            counts["n"] += 1
+            return getstate(self)
+
+        monkeypatch.setattr(pool_mod._Session, "__getstate__", counting)
         faults = collapse_faults(medium_synth)
-        counts = self._count_publications(monkeypatch)
         with make_evaluator(medium_synth, faults) as ev:
             ev.evaluate_specs(SPECS, faults)
             ev.evaluate_specs(SPECS, faults)
-            assert counts["n"] == 1
             ev._pool.kill()  # respawn on the next dispatch
             ev.evaluate_specs(SPECS, faults)
-            assert counts["n"] == 1
-
-    def test_unused_pool_never_pickles(self, s27, monkeypatch):
-        counts = self._count_publications(monkeypatch)
-        with make_evaluator(s27, collapse_faults(s27)) as ev:
-            assert ev._pool is None
+        assert pool_submits.count > 0
         assert counts["n"] == 0
 
-    def test_persistent_pool_publishes_once(self, s27, monkeypatch):
-        """The pool evaluator's session state is serialized exactly once
-        (at segment publication), regardless of dispatch count."""
+    def test_unused_pool_never_forks(self, s27, monkeypatch):
+        """s27's one fault word cannot be split: no worker is started."""
+        forks = []
+
+        def no_fork():
+            # The pool would treat a failed fork as an unavailable pool
+            # and rescue in the parent, so record the attempt as well.
+            forks.append(1)
+            raise OSError("an unused pool forked a worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         cfg = BistConfig(la=4, lb=8, n=8, n_jobs=2, candidate_batch=4)
         faults = collapse_faults(s27)
-        ev = CandidateEvaluator(
+        specs = [(1, d1) for d1 in cfg.d1_values[:4]]
+        with CandidateEvaluator(
             FaultSimulator(s27), generate_ts0(s27, cfg), cfg,
-            s27.num_state_vars, None,
-            n_jobs=2, targets=faults, circuit_name=s27.name,
-        )
-        counts = self._count_publications(monkeypatch)
-        with ev:
-            ev.evaluate_specs([(1, d1) for d1 in cfg.d1_values[:4]], faults)
-            ev.evaluate_specs([(2, d1) for d1 in cfg.d1_values[:4]], faults)
-        assert counts["n"] <= 1
+            s27.num_state_vars, None, n_jobs=2, targets=faults,
+        ) as ev:
+            tables = ev.evaluate_specs(specs, faults)
+            assert ev._pool is None and not ev.degradation.degraded
+        assert not forks
+        tests = generate_ts0(s27, cfg)
+        for spec, table in zip(specs, tables):
+            built = build_limited_scan_test_set(
+                tests, spec[0], spec[1], cfg, s27.num_state_vars
+            )
+            assert table.hits_for(faults) == FaultSimulator(
+                s27
+            ).simulate_grouped(built, faults)

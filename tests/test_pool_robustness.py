@@ -4,15 +4,14 @@ The persistent pool must survive every failure mode of a worker --
 crash, hang, corrupted payload, task error, retry exhaustion, an
 unusable pool -- with shard-granular
 recovery and a final result identical to the serial run.  On top of
-that it owns a shared-memory segment whose lifetime must end with the
-evaluator on *every* path, including SIGKILLed workers.
+that its worker processes must end with the evaluator, and respawn
+with the session after every one of them is SIGKILLed.
 
 All tests are marked ``chaos`` (run with ``-m chaos``).
 """
 
 from __future__ import annotations
 
-import glob
 import os
 import signal
 
@@ -24,7 +23,7 @@ from repro.core.limited_scan import build_limited_scan_test_set
 from repro.core.test_set import generate_ts0
 from repro.faults.collapse import collapse_faults
 from repro.faults.fault_sim import FaultSimulator
-from repro.faults.pool import CandidateEvaluator, PersistentWorkerPool
+from repro.faults.pool import CandidateEvaluator
 from repro.faults.sharding import RecoveryPolicy
 from repro.robustness.chaos import ChaosPlan
 
@@ -59,7 +58,7 @@ def make_evaluator(rig, chaos=None, recovery=None, shards=3):
     circuit, cfg, sim, ts0, faults, _specs, _serial = rig
     return CandidateEvaluator(
         sim, ts0, cfg, circuit.num_state_vars, None,
-        n_jobs=2, targets=faults, circuit_name=circuit.name,
+        n_jobs=2, targets=faults,
         recovery=recovery or RecoveryPolicy(**FAST),
         chaos=chaos, shards=shards,
     )
@@ -133,51 +132,50 @@ class TestShardRecovery:
             assert_identical(rig, ev)
 
 
-class TestSegmentLifecycle:
-    def test_segment_named_by_fingerprint_and_released(self, rig):
-        ev = make_evaluator(rig)
-        assert_identical(rig, ev)
-        pool = ev._pool
-        assert pool is not None
-        assert pool.segment_name.startswith("rlspool_")
-        path = f"/dev/shm/{pool.segment_name}"
-        if os.path.exists("/dev/shm"):
-            assert os.path.exists(path)
-        ev.close()
-        if os.path.exists("/dev/shm"):
-            assert not os.path.exists(path)
+def worker_processes(evaluator):
+    """The live worker processes of ``evaluator``'s pool."""
+    return list(evaluator._pool._executor._processes.values())
 
-    def test_segment_survives_sigkilled_workers(self, rig):
-        """SIGKILL on every worker: respawn works, then cleanup is exact."""
+
+class TestWorkerLifecycle:
+    def test_workers_gone_after_close(self, rig, pool_submits):
         ev = make_evaluator(rig)
-        _c, _cfg, _sim, _ts0, faults, specs, _serial = rig
         assert_identical(rig, ev)
-        pool = ev._pool
-        procs = list(getattr(pool._executor, "_processes", {}).values())
+        assert pool_submits.count > 0
+        procs = worker_processes(ev)
         assert procs, "pool should have live workers after a dispatch"
+        ev.close()
+        assert ev._pool is None
         for proc in procs:
-            os.kill(proc.pid, signal.SIGKILL)
-        # The evaluator recovers (respawn re-attaches to the published
-        # segment) and the result is still exact.
+            proc.join(timeout=10)
+            assert not proc.is_alive()
+
+    def test_respawn_after_sigkilled_workers_is_exact(self, rig):
+        """SIGKILL on every worker: the respawned workers are exact."""
+        ev = make_evaluator(rig)
+        assert_identical(rig, ev)
+        killed = {proc.pid for proc in worker_processes(ev)}
+        assert killed, "pool should have live workers after a dispatch"
+        for pid in killed:
+            os.kill(pid, signal.SIGKILL)
+        # The evaluator recovers: fresh workers fork and inherit the
+        # session again, and the result is still exact.
         assert_identical(rig, ev)
         assert ev.degradation.pool_respawns >= 1
-        name = pool.segment_name
+        fresh = {proc.pid for proc in worker_processes(ev)}
+        assert fresh and fresh.isdisjoint(killed)
         ev.close()
-        if os.path.exists("/dev/shm"):
-            assert not glob.glob(f"/dev/shm/{name}")
 
-    def test_kill_keeps_segment_close_unlinks(self, rig):
+    def test_kill_then_dispatch_respawns(self, rig):
         ev = make_evaluator(rig)
         assert_identical(rig, ev)
-        pool = ev._pool
-        path = f"/dev/shm/{pool.segment_name}"
-        pool.kill()
-        if os.path.exists("/dev/shm"):
-            assert os.path.exists(path), "kill() must keep the segment"
-        assert_identical(rig, ev)  # respawned workers re-attach
+        first = {proc.pid for proc in worker_processes(ev)}
+        ev._pool.kill()
+        assert ev._pool._executor is None
+        assert_identical(rig, ev)
+        second = {proc.pid for proc in worker_processes(ev)}
+        assert second and second.isdisjoint(first)
         ev.close()
-        if os.path.exists("/dev/shm"):
-            assert not os.path.exists(path)
 
 
 class TestChaosDeterminism:

@@ -312,17 +312,19 @@ class TestWhereStringCanonicalization:
     def test_single_canonical_object_per_observation_point(self):
         """Every path that builds a ``DetectionRecord`` must end up with
         the interpreter-interned ``where`` object.  Hyphenated literals
-        are not auto-interned, so without a choke point the serial
-        recorder, the pool's row canonicalization, and the shard merge
-        each hold their own equal-but-distinct copy -- and a result
-        mixing them pickles with a different memo structure than a
-        serial result sharing one object (seen as a byte-identity
-        failure on s13207, where TS0 goes through the in-process path
-        while winner pairs come back from pool workers)."""
+        are not auto-interned, and rows that come back from pool workers
+        carry fresh copies, so without a choke point the serial recorder
+        and the pooled reconstruction each hold their own
+        equal-but-distinct copy -- and a result mixing them pickles with
+        a different memo structure than a serial result sharing one
+        object (seen as a byte-identity failure on s13207, where TS0
+        goes through the in-process path while winner pairs come back
+        from pool workers).  ``DetectionRecord`` is that choke point:
+        pooled rows reach a result only through ``reconstruct_hits``,
+        which builds records."""
         import sys
 
         from repro.faults.fault_sim import DetectionRecord
-        from repro.faults.pool import _WHERE_CANON
 
         for where in ("po", "limited-scan", "scan-out"):
             fresh = "-".join(where.split("-"))  # equal, not interned
@@ -330,7 +332,6 @@ class TestWhereStringCanonicalization:
                 fault=None, test_index=0, time_unit=0, where=fresh
             )
             assert rec.where is sys.intern(where)
-            assert _WHERE_CANON[where] is sys.intern(where)
 
 
 class TestStatsPOFanout:
@@ -351,11 +352,11 @@ class TestStatsPOFanout:
 class TestLargestCircuitPoolRoundTrip:
     """Pooled candidate evaluation on the largest vendored circuit.
 
-    The pool ships the compiled graph to workers through shared memory;
-    at s38417 scale that is a multi-megabyte payload, which is exactly
-    where a subtle serialization bug would corrupt results.  The pooled
-    tables must match the serial simulator bit for bit, including
-    insertion order.
+    Pool workers inherit the compiled graph and score shards of it; at
+    s38417 scale the graph is many megabytes, and the rows that come
+    back cross a process boundary, which is exactly where a subtle
+    serialization bug would corrupt results.  The pooled tables must
+    match the serial simulator bit for bit, including insertion order.
     """
 
     def test_s38417_pool_matches_serial(self):
@@ -389,7 +390,7 @@ class TestLargestCircuitPoolRoundTrip:
         )
         evaluator = CandidateEvaluator(
             sim, ts0, pooled_cfg, n_sv, None,
-            n_jobs=2, targets=faults, circuit_name=circuit.name,
+            n_jobs=2, targets=faults,
         )
         try:
             tables = evaluator.evaluate_specs(specs, faults)
