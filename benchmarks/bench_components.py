@@ -2,15 +2,15 @@
 
 import numpy as np
 
+from repro.atpg.classify import CLASSIFY_MAX_COLS
 from repro.bench_circuits import load_circuit
 from repro.circuit.library import ALL_ONES
 from repro.core.config import BistConfig
 from repro.core.limited_scan import build_limited_scan_test_set
 from repro.core.test_set import generate_ts0
 from repro.faults.collapse import collapse_faults
-from repro.faults.fault_sim import FaultSimulator
+from repro.faults.fault_sim import FaultSimulator, ScanTest
 from repro.faults.model import FaultGraph, generate_faults
-from repro.faults.ppsfp import CombinationalFaultSimulator, pack_patterns
 from repro.rpg.lfsr import Lfsr
 from repro.simulation.compiled import CompiledModel, Injections
 
@@ -104,32 +104,40 @@ def test_grouped_fault_sim_with_schedules(benchmark):
     )
 
 
-def test_ppsfp_throughput(benchmark):
+def _single_vector_tests(circuit, n_patterns):
+    """Random full-scan patterns as ``classify_faults`` simulates them:
+    PI bits as the one vector, flop bits as the scan-in state."""
+    n_pi = circuit.num_inputs
+    rng = np.random.Generator(np.random.PCG64(3))
+    patterns = rng.integers(
+        0, 2, size=(n_patterns, n_pi + circuit.num_state_vars), dtype=np.uint8
+    ).tolist()
+    return [ScanTest(si=p[n_pi:], vectors=[p[:n_pi]]) for p in patterns]
+
+
+def test_classify_random_phase_s298(benchmark):
+    """``classify_faults``' random phase on s298: 512 single-vector tests
+    against the collapsed list."""
     circuit = load_circuit("s298")
-    graph = FaultGraph(circuit)
-    comb = CombinationalFaultSimulator(graph)
+    sim = FaultSimulator(circuit)
     faults = collapse_faults(circuit)
-    rng = np.random.Generator(np.random.PCG64(3))
-    patterns = rng.integers(0, 2, size=(256, comb.num_inputs), dtype=np.uint8)
-    words = pack_patterns(patterns)
+    tests = _single_vector_tests(circuit, 512)
     benchmark.pedantic(
-        lambda: comb.detected(words, faults), rounds=2, iterations=1
+        lambda: sim.simulate_grouped(tests, faults, max_cols=CLASSIFY_MAX_COLS),
+        rounds=2,
+        iterations=1,
     )
 
 
-def test_ppsfp_cross_simulation_s1423(benchmark):
-    """One pattern against s1423's collapsed list: a one-word pass per
-    fault, as ``classify_faults`` cross-simulates each PODEM test."""
+def test_classify_cross_simulation_s1423(benchmark):
+    """One single-vector test against s1423's collapsed list, as
+    ``classify_faults`` cross-simulates each PODEM test."""
     circuit = load_circuit("s1423")
-    comb = CombinationalFaultSimulator(FaultGraph(circuit))
+    sim = FaultSimulator(circuit)
     faults = collapse_faults(circuit)
-    rng = np.random.Generator(np.random.PCG64(3))
-    words = pack_patterns(
-        rng.integers(0, 2, size=(1, comb.num_inputs), dtype=np.uint8)
-    )
-    valid = np.array([1], dtype=np.uint64)
+    tests = _single_vector_tests(circuit, 1)
     benchmark.pedantic(
-        lambda: comb.detected(words, faults, valid_mask=valid),
+        lambda: sim.simulate_grouped(tests, faults, max_cols=CLASSIFY_MAX_COLS),
         rounds=2,
         iterations=1,
     )

@@ -2,11 +2,19 @@
 
 Two phases, the standard recipe:
 
-1. **Random phase** -- a batch of random full-scan patterns simulated with
-   PPSFP knocks out the easily detectable majority cheaply.
+1. **Random phase** -- a batch of random full-scan patterns knocks out
+   the easily detectable majority cheaply.
 2. **Deterministic phase** -- PODEM targets each remaining fault and
    either produces a test (detectable), proves redundancy
    (undetectable), or gives up at the backtrack limit (aborted).
+
+Both phases fault-simulate on the one stuck-at engine,
+:meth:`~repro.faults.fault_sim.FaultSimulator.simulate_grouped`.  Under
+full scan a combinational pattern is a single-vector
+:class:`~repro.faults.fault_sim.ScanTest` -- the PI bits are its one
+vector and the flop bits its scan-in state -- and that test observes
+the POs and, at scan-out, every flop's D net: the combinational
+expansion's observation points.
 
 The paper's Procedure 2 terminates at "100% fault coverage", which for
 every benchmark it reports means *all detectable faults*; this module
@@ -24,9 +32,18 @@ import numpy as np
 
 from repro.circuit.netlist import Circuit
 from repro.faults.collapse import collapse_faults
+from repro.faults.fault_sim import FaultSimulator, ScanTest
 from repro.faults.model import Fault, FaultGraph
-from repro.faults.ppsfp import CombinationalFaultSimulator, pack_patterns
 from repro.atpg.podem import Podem, PodemStatus
+
+#: Column budget (``patterns x fault words``) of classification's
+#: grouped passes: it bounds the value matrix, the pass's largest
+#: allocation.  The random phase against the engine's default of 4096,
+#: on a 2-vCPU host: as fast on s298, s1196, s1423 and s5378; on s13207
+#: 11.1 s against 8.7 s (four times the chunks, the same evaluation
+#: time).  Peak RSS 134 against 389 MB on s5378, 296 against 950 MB on
+#: s13207.
+CLASSIFY_MAX_COLS = 1024
 
 
 @dataclass
@@ -74,27 +91,25 @@ def classify_faults(
     if faults is None:
         faults = collapse_faults(graph.circuit)
 
+    sim = FaultSimulator(graph)
+    n_pi = len(graph.model.pi_idx)
     result = Classification()
     remaining = list(faults)
 
     if random_patterns > 0 and remaining:
-        sim = CombinationalFaultSimulator(graph)
         rng = np.random.Generator(np.random.PCG64(seed))
         patterns = rng.integers(
-            0, 2, size=(random_patterns, sim.num_inputs), dtype=np.uint8
+            0, 2, size=(random_patterns, n_pi + sim.chain_length), dtype=np.uint8
+        ).tolist()
+        easy = sim.simulate_grouped(
+            [ScanTest(si=p[n_pi:], vectors=[p[:n_pi]]) for p in patterns],
+            remaining,
+            max_cols=CLASSIFY_MAX_COLS,
         )
-        words = pack_patterns(patterns)
-        n_words = words.shape[1]
-        valid = np.full(n_words, np.uint64(0xFFFFFFFFFFFFFFFF))
-        tail = random_patterns % 64
-        if tail:
-            valid[-1] = np.uint64((1 << tail) - 1)
-        easy = set(sim.detected(words, remaining, valid_mask=valid))
         result.detectable.extend(f for f in remaining if f in easy)
         remaining = [f for f in remaining if f not in easy]
 
     podem = Podem(graph, backtrack_limit=backtrack_limit)
-    sim = CombinationalFaultSimulator(graph)
     queue = list(remaining)
     while queue:
         fault = queue.pop(0)
@@ -106,12 +121,11 @@ def classify_faults(
                 # Cross-simulate the found test against the rest of the
                 # queue: one PODEM test typically detects many faults,
                 # which collapses the deterministic phase.
-                pattern = np.array(
-                    [res.pi_bits + res.si_bits], dtype=np.uint8
+                also = sim.simulate_grouped(
+                    [ScanTest(si=res.si_bits, vectors=[res.pi_bits])],
+                    queue,
+                    max_cols=CLASSIFY_MAX_COLS,
                 )
-                words = pack_patterns(pattern)
-                valid = np.array([1], dtype=np.uint64)
-                also = set(sim.detected(words, queue, valid_mask=valid))
                 if also:
                     result.detectable.extend(f for f in queue if f in also)
                     queue = [f for f in queue if f not in also]

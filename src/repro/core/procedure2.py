@@ -35,7 +35,7 @@ from repro.faults.fault_sim import (
 )
 from repro.faults.model import Fault
 from repro.faults.pool import CandidateEvaluator
-from repro.faults.sharding import RecoveryPolicy, resolve_n_jobs
+from repro.faults.sharding import RecoveryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.robustness.checkpoint import CheckpointWriter
@@ -201,7 +201,6 @@ def run_procedure2(
     simulator: Optional[FaultSimulator] = None,
     policy: Optional[ObservationPolicy] = None,
     ts0: Optional[List[ScanTest]] = None,
-    n_jobs: Optional[int] = None,
     checkpoint: Optional[Union[str, Path]] = None,
 ) -> Procedure2Result:
     """Run Procedure 2 for ``circuit`` under ``config``.
@@ -211,10 +210,9 @@ def run_procedure2(
     simply makes 100% coverage unreachable, which is reported as an
     incomplete run, never an error.
 
-    ``n_jobs`` (default: ``config.n_jobs``) shards the fault list across
-    worker processes.  With ``n_jobs > 1`` one
-    :class:`~repro.faults.pool.PersistentWorkerPool` lives for the whole
-    run: its workers inherit the compiled circuit and target faults when
+    ``config.n_jobs`` shards the fault list across worker processes.
+    With ``n_jobs > 1`` one :class:`~repro.faults.pool.PersistentWorkerPool`
+    lives for the whole run: its workers inherit the compiled circuit and target faults when
     they fork, and each dispatch ships only shard indices plus pattern
     seeds.  A dispatch too small to pay for a worker round trip runs in
     the parent.  ``config.candidate_batch`` additionally scores that
@@ -243,7 +241,6 @@ def run_procedure2(
     _lint_gate(circuit, config)
     target_faults = list(target_faults)
     simulator = simulator or FaultSimulator(circuit)
-    jobs = resolve_n_jobs(config.n_jobs if n_jobs is None else n_jobs)
     writer = None
     if checkpoint is not None:
         from repro.robustness.checkpoint import CheckpointWriter
@@ -255,8 +252,7 @@ def run_procedure2(
             ),
         )
     return _run_procedure2_body(
-        circuit, config, target_faults, simulator, policy, ts0,
-        writer=writer, n_jobs=jobs,
+        circuit, config, target_faults, simulator, policy, ts0, writer=writer
     )
 
 
@@ -268,7 +264,6 @@ def resume_procedure2(
     simulator: Optional[FaultSimulator] = None,
     policy: Optional[ObservationPolicy] = None,
     ts0: Optional[List[ScanTest]] = None,
-    n_jobs: Optional[int] = None,
 ) -> Procedure2Result:
     """Continue a checkpointed Procedure 2 run from its journal.
 
@@ -284,7 +279,8 @@ def resume_procedure2(
     journal is missing or unreadable, and
     :class:`~repro.robustness.checkpoint.CheckpointMismatchError` if it
     was written for a different circuit, config, or target-fault list.
-    ``n_jobs`` may freely differ from the original run.
+    ``config.n_jobs`` is not part of the journal header, so it may
+    freely differ from the original run.
     """
     from repro.robustness import journal
     from repro.robustness.checkpoint import (
@@ -381,7 +377,6 @@ def resume_procedure2(
         ts0,
         writer=CheckpointWriter(checkpoint),  # append to the healed journal
         start=start,
-        n_jobs=resolve_n_jobs(config.n_jobs if n_jobs is None else n_jobs),
     )
 
 
@@ -394,7 +389,6 @@ def _run_procedure2_body(
     ts0: Optional[List[ScanTest]],
     writer: Optional["CheckpointWriter"] = None,
     start: Optional[_ResumeState] = None,
-    n_jobs: int = 1,
 ) -> Procedure2Result:
     ts0 = ts0 if ts0 is not None else generate_ts0(circuit, config)
     d1_values = tuple(config.d1_values)
@@ -419,7 +413,7 @@ def _run_procedure2_body(
         config,
         n_sv,
         policy,
-        n_jobs=n_jobs,
+        n_jobs=config.n_jobs,
         targets=target_faults,
         recovery=_recovery_from_config(config),
     )

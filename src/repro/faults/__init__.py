@@ -4,12 +4,11 @@
   stems and fanout branches, and the :class:`FaultGraph` that maps every
   fault onto a net of the (decomposed, branch-expanded) simulation graph,
 - :mod:`repro.faults.collapse` -- gate-local equivalence collapsing,
-- :mod:`repro.faults.fault_sim` -- the parallel-fault sequential fault
-  simulator (64 fault machines per word) with detection at primary
-  outputs, at bits shifted out by limited scan operations, and at the
-  final scan-out,
-- :mod:`repro.faults.ppsfp` -- parallel-pattern single-fault propagation
-  for the purely combinational (single-vector, full-scan) setting,
+- :mod:`repro.faults.fault_sim` -- the stuck-at engine: a
+  parallel-fault sequential fault simulator (64 fault machines per word)
+  with detection at primary outputs, at bits shifted out by limited
+  scan operations, and at the final scan-out.  A single-vector test is
+  the full-scan combinational case, which fault classification uses,
 - :mod:`repro.faults.pool` -- the persistent worker pool
   and batched candidate evaluation behind Procedure 2's ``n_jobs``,
 - :mod:`repro.faults.sharding` -- the word-aligned fault-list sharding

@@ -37,6 +37,20 @@ ScheduleStep = Tuple[int, Sequence[int]]
 MAX_COLS = 4096
 
 
+def chunk_tests(n_faults: int, max_cols: int = MAX_COLS) -> int:
+    """Tests in one :meth:`FaultSimulator.simulate_grouped` chunk
+    against ``n_faults`` faults: ``max_cols`` over the fault words.
+
+    This is the batched pass's exactness rule.  Candidates scored side
+    by side (:meth:`FaultSimulator.simulate_candidates`) reproduce the
+    serial path only if every batch of their shared partition fits one
+    chunk at :data:`MAX_COLS`.  The bound only grows as faults drop, so
+    a batch that fits against the dispatch-time list fits against every
+    later, smaller remaining list.
+    """
+    return max(1, max_cols // max(1, (n_faults + 63) // 64))
+
+
 @dataclass
 class ScanTest:
     """One test ``tau = (SI, T)`` with an optional limited-scan schedule."""
@@ -233,7 +247,7 @@ class FaultSimulator:
         to :meth:`simulate`; only the (test, time-unit) attribution of
         first detections may differ (earliest time unit instead of
         earliest test).  ``max_cols`` bounds memory: a batch is chunked
-        so that ``n_tests * n_groups <= max_cols``.
+        into :func:`chunk_tests` tests per pass.
 
         Every chunk is a one-candidate pass of the batched kernel
         (:meth:`_simulate_candidate_batch`), with detected faults dropped
@@ -250,7 +264,7 @@ class FaultSimulator:
                 groups = [
                     remaining[i : i + 64] for i in range(0, len(remaining), 64)
                 ]
-                chunk = idx_list[pos : pos + max(1, max_cols // len(groups))]
+                chunk = idx_list[pos : pos + chunk_tests(len(remaining), max_cols)]
                 pos += len(chunk)
                 rows: List[List[tuple]] = [[]]
                 self._simulate_candidate_batch(
@@ -299,17 +313,14 @@ class FaultSimulator:
         self,
         test_sets: Sequence[Sequence[ScanTest]],
         n_faults: int,
-        max_cols: int = MAX_COLS,
     ) -> bool:
         """Whether :meth:`simulate_candidates` can reproduce the serial
         result exactly for these candidates against ``n_faults`` targets.
 
         Requires every candidate to induce the same batch partition and
-        every batch to fit in a single ``simulate_grouped`` chunk (so the
-        per-fault first-detection attribution is chunking-independent).
-        The chunk condition is monotone in the fault count, so validity
-        against the dispatch-time fault list implies validity against
-        every later (smaller) remaining list.
+        every batch to fit in a single ``simulate_grouped`` chunk
+        (:func:`chunk_tests`), so the per-fault first-detection
+        attribution is chunking-independent.
         """
         if not test_sets or n_faults <= 0:
             return False
@@ -320,16 +331,13 @@ class FaultSimulator:
             lengths = {len(ts[idx[0]].vectors) for ts in test_sets}
             if len(lengths) != 1:
                 return False
-        n_groups = (n_faults + 63) // 64
-        chunk_tests = max(1, max_cols // max(n_groups, 1))
-        return all(len(idx) <= chunk_tests for idx in parts[0])
+        return all(len(idx) <= chunk_tests(n_faults) for idx in parts[0])
 
     def simulate_candidates(
         self,
         test_sets: Sequence[Sequence[ScanTest]],
         faults: Sequence[Fault],
         policy: Optional[ObservationPolicy] = None,
-        max_cols: int = MAX_COLS,
     ) -> Optional[List[List[tuple]]]:
         """Score several candidate test sets against ``faults`` at once.
 
@@ -360,7 +368,7 @@ class FaultSimulator:
             return []
         if not faults or not test_sets[0]:
             return [[] for _ in test_sets]
-        if not self.candidates_compatible(test_sets, len(faults), max_cols):
+        if not self.candidates_compatible(test_sets, len(faults)):
             return None
         groups = [faults[i : i + 64] for i in range(0, len(faults), 64)]
         rows: List[List[tuple]] = [[] for _ in test_sets]
@@ -377,7 +385,7 @@ class FaultSimulator:
             # One candidate occupies nT * (G + 1) columns in the combined
             # layout (faulty groups plus the riding reference slot).
             per_cand = max(1, len(idx_list) * (len(groups) + 1))
-            c_chunk = max(1, max_cols // per_cand)
+            c_chunk = max(1, MAX_COLS // per_cand)
             for c0 in range(0, len(test_sets), c_chunk):
                 self._simulate_candidate_batch(
                     test_sets[c0 : c0 + c_chunk],

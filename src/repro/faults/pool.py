@@ -61,6 +61,7 @@ from repro.faults.fault_sim import (
     DetectionRecord,
     ObservationPolicy,
     ScanTest,
+    chunk_tests,
 )
 from repro.faults.model import Fault
 from repro.faults.sharding import (
@@ -201,10 +202,7 @@ class _Session:
         :meth:`~repro.faults.fault_sim.FaultSimulator.simulate_candidates`.
         """
         rows = self.simulator.simulate_candidates(
-            [self.tests_for(spec) for spec in specs],
-            faults,
-            self.policy,
-            max_cols=MAX_COLS,
+            [self.tests_for(spec) for spec in specs], faults, self.policy
         )
         if rows is None:  # pragma: no cover - callers pre-check compatibility
             raise RuntimeError(
@@ -433,7 +431,7 @@ class CandidateEvaluator:
         self._pool_unavailable = False
         self._target_pos = {f: i for i, f in enumerate(self._session.targets)}
         self._dispatches = 0
-        self._length_partition_cache: Optional[List[List[int]]] = None
+        self._ts0_partition = simulator.candidate_partition(self._session.ts0)
 
     @property
     def batch(self) -> int:
@@ -441,15 +439,6 @@ class CandidateEvaluator:
         return max(1, getattr(self._session.config, "candidate_batch", 1))
 
     # ------------------------------------------------------------------
-    def _length_partition(self) -> List[List[int]]:
-        """``TS0`` indices grouped by test length, first-appearance order."""
-        if self._length_partition_cache is None:
-            groups: Dict[int, List[int]] = {}
-            for i, test in enumerate(self._session.ts0):
-                groups.setdefault(test.length, []).append(i)
-            self._length_partition_cache = list(groups.values())
-        return self._length_partition_cache
-
     def _compatible(
         self, specs: Sequence[CandidateSpec], n_faults: int
     ) -> bool:
@@ -457,26 +446,20 @@ class CandidateEvaluator:
 
         Under ``reseed_per_test`` (the paper's Procedure 1) the schedule
         of a test depends only on ``(seed(I), length, d1, d2)``, so every
-        candidate's batch partition is exactly "group ``TS0`` indices by
-        test length" -- including ``TS0`` itself, whose empty schedules
-        also coincide per length.  The remaining precondition is the
-        single-chunk bound, a pure arithmetic check.  The one-stream
-        ablation falls back to building the candidates and asking the
-        simulator.
+        candidate's batch partition is ``TS0``'s, which groups its
+        indices by test length.  The remaining precondition is the
+        single-chunk bound (:func:`~repro.faults.fault_sim.chunk_tests`),
+        a pure arithmetic check.  The one-stream ablation falls back to
+        building the candidates and asking the simulator.
         """
         if n_faults <= 0 or not specs:
             return False
         session = self._session
         if getattr(session.config, "reseed_per_test", False):
-            n_groups = (n_faults + 63) // 64
-            chunk_tests = max(1, MAX_COLS // max(n_groups, 1))
-            return all(
-                len(idx) <= chunk_tests for idx in self._length_partition()
-            )
+            limit = chunk_tests(n_faults)
+            return all(len(idx) <= limit for idx in self._ts0_partition)
         test_sets = [session.tests_for(spec) for spec in specs]
-        return session.simulator.candidates_compatible(
-            test_sets, n_faults, max_cols=MAX_COLS
-        )
+        return session.simulator.candidates_compatible(test_sets, n_faults)
 
     # ------------------------------------------------------------------
     def evaluate_ts0(self, remaining: Sequence[Fault]) -> Any:

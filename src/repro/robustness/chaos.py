@@ -36,18 +36,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
-
-from repro.faults.fault_sim import DetectionRecord
-from repro.faults.model import Fault
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: Injection directives, in precedence order when a shard is named in
 #: several sets.
 CHAOS_ACTIONS = ("crash", "hang", "corrupt", "error")
-
-#: The obviously-foreign fault a corrupted shard smuggles into its
-#: return payload (never a member of any real shard).
-CORRUPT_FAULT = Fault(site="__chaos_corrupt__", value=1)
 
 
 class ChaosError(RuntimeError):
@@ -226,14 +219,16 @@ def truncate_tail(path: Any, nbytes: int) -> int:
 def execute_injected(
     action: Optional[str],
     hang_seconds: float,
-    compute: Callable[[], Any],
-) -> Any:
+    compute: Callable[[], List[List[tuple]]],
+) -> List[List[tuple]]:
     """Run ``compute`` under an injection directive (worker side).
 
+    ``compute`` returns a shard's rows, one list per candidate (see
+    :meth:`repro.faults.fault_sim.FaultSimulator.simulate_candidates`).
     ``crash`` never returns; ``hang`` sleeps then completes normally
-    (the parent has long since torn the pool down); ``corrupt`` replaces
-    the real payload with one containing a foreign fault; ``error``
-    raises :class:`ChaosError`.
+    (the parent has long since torn the pool down); ``corrupt`` returns
+    the real rows plus one at fault position -1, outside every shard;
+    ``error`` raises :class:`ChaosError`.
     """
     if action == "crash":
         os._exit(17)
@@ -241,12 +236,10 @@ def execute_injected(
         raise ChaosError("injected worker failure")
     if action == "hang":
         time.sleep(hang_seconds)
-    result = compute()
+    rows = compute()
     if action == "corrupt":
-        corrupted: Dict[Fault, DetectionRecord] = {
-            CORRUPT_FAULT: DetectionRecord(
-                fault=CORRUPT_FAULT, test_index=-1, time_unit=-1, where="chaos"
-            )
-        }
-        return corrupted
-    return result
+        # Well-formed in every field but the fault position, so only
+        # the parent's bounds check can reject it.
+        first, *rest = rows
+        return [first + [(-1, 0, 0, 0, "po")], *rest]
+    return rows

@@ -24,7 +24,7 @@ from repro.core.config import BistConfig
 from repro.core.procedure2 import run_procedure2
 from repro.experiments.serialize import result_to_dict
 from repro.faults.collapse import collapse_faults
-from repro.faults.pool import CandidateEvaluator
+from repro.faults.pool import CandidateEvaluator, _valid_rows
 from repro.robustness.chaos import ChaosError, ChaosPlan, execute_injected
 from repro.robustness.degradation import DegradationReport, ShardEvent
 
@@ -90,12 +90,42 @@ class TestChaosPlan:
 
     def test_execute_injected_error_and_corrupt(self):
         with pytest.raises(ChaosError):
-            execute_injected("error", 0.0, lambda: {})
-        corrupted = execute_injected("corrupt", 0.0, lambda: {"real": 1})
-        assert "real" not in corrupted
-        (fault,) = corrupted
-        assert fault.site == "__chaos_corrupt__"
-        assert execute_injected(None, 0.0, lambda: 42) == 42
+            execute_injected("error", 0.0, lambda: [[]])
+        real = [[(0, 0, 1, 2, "po")], [(1, 0, 0, 3, "scan-out")]]
+        corrupted = execute_injected("corrupt", 0.0, lambda: real)
+        # The real rows survive; one more names fault position -1.
+        assert corrupted == [real[0] + [(-1, 0, 0, 0, "po")], real[1]]
+        assert _valid_rows(real, 2, 2)
+        assert not _valid_rows(corrupted, 2, 2)
+        assert execute_injected(None, 0.0, lambda: real) is real
+
+
+#: A well-formed shard payload: two candidates against a 3-fault shard.
+GOOD_ROWS = [[(0, 0, 1, 2, "po"), (2, 1, 0, 3, "scan-out")], []]
+
+
+class TestValidRows:
+    """The parent's check of a worker's rows, one defect at a time."""
+
+    def test_accepts_well_formed(self):
+        assert _valid_rows(GOOD_ROWS, 2, 3)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param([GOOD_ROWS[0]], id="candidate-count"),
+            pytest.param([GOOD_ROWS[0], ()], id="non-list-candidate"),
+            pytest.param([[(0, 0, 1, 2)], []], id="four-tuple-row"),
+            pytest.param([[(-1, 0, 1, 2, "po")], []], id="position-minus-one"),
+            pytest.param([[(3, 0, 1, 2, "po")], []], id="position-shard-size"),
+            pytest.param([[(0, 0.0, 1, 2, "po")], []], id="non-int-rank"),
+            pytest.param([[(0, 0, "1", 2, "po")], []], id="non-int-test"),
+            pytest.param([[(0, 0, 1, None, "po")], []], id="non-int-time"),
+            pytest.param([[(0, 0, 1, 2, "chaos")], []], id="unknown-where"),
+        ],
+    )
+    def test_rejects(self, payload):
+        assert not _valid_rows(payload, 2, 3)
 
 
 class TestShardRecovery:

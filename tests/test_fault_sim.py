@@ -102,6 +102,40 @@ class TestDetectionRecords:
             assert records[fault].test_index == 0
 
 
+class TestDetectionCounts:
+    """``measure_detection_counts``, the one pattern-parallel routine,
+    against single-vector tests on the fault-parallel path."""
+
+    @pytest.mark.parametrize("n_patterns", [10, 64, 100])
+    def test_counts_match_single_vector_detection(self, tiny_synth, n_patterns):
+        sim = FaultSimulator(tiny_synth)
+        model = sim.model
+        faults = collapse_faults(tiny_synth)
+        counts = sim.measure_detection_counts(faults, n_patterns, seed=7)
+
+        # The routine's draw: one random word per PI and flop row per 64
+        # patterns, pattern p at bit p % 64 of word p // 64.
+        n_pi = len(model.pi_idx)
+        rng = np.random.Generator(np.random.PCG64(7))
+        words = rng.integers(
+            0, 2**64, size=(n_pi + len(model.q_idx), (n_patterns + 63) // 64),
+            dtype=np.uint64,
+        )
+        tests = []
+        for p in range(n_patterns):
+            bits = (words[:, p // 64] >> np.uint64(p % 64)) & np.uint64(1)
+            bits = bits.astype(int).tolist()
+            tests.append(ScanTest(si=bits[n_pi:], vectors=[bits[:n_pi]]))
+
+        detected = sim.simulate(tests, faults)
+        per_pattern = [sim.simulate([test], faults) for test in tests]
+        assert 0 < len(detected) < len(faults)
+        for fault, count in zip(faults, counts):
+            assert 0 <= count <= n_patterns
+            assert (count > 0) == (fault in detected)
+            assert count == sum(fault in hits for hits in per_pattern)
+
+
 class TestObservationPolicy:
     def test_scan_out_detection_exists(self, s27):
         """Some faults are detectable only at the final scan-out."""

@@ -1,8 +1,7 @@
 """The persistent pool's fault-sharded dispatch.
 
 Covers the sharding helpers, bit-exact equivalence of multi-shard pool
-dispatches with serial ``simulate_grouped`` (and of sharded PPSFP with
-serial PPSFP), graceful degradation to
+dispatches with serial ``simulate_grouped``, graceful degradation to
 in-process evaluation, workers inheriting the session without
 serializing it, and the n_jobs=1-vs-4 determinism regression on
 Procedure 2 (byte-identical serialized results).
@@ -15,11 +14,11 @@ import os
 import pickle
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.bench_circuits.catalog import load_circuit
 from repro.bench_circuits.synthetic import SyntheticSpec, synthesize
+from repro.core import procedure2
 from repro.core.config import BistConfig
 from repro.core.limited_scan import build_limited_scan_test_set
 from repro.core.procedure2 import run_procedure2
@@ -28,11 +27,8 @@ from repro.experiments.serialize import result_to_dict
 from repro.faults import pool as pool_mod
 from repro.faults.collapse import collapse_faults
 from repro.faults.fault_sim import FaultSimulator, ObservationPolicy
-from repro.faults.model import FaultGraph
 from repro.faults.pool import CandidateEvaluator
-from repro.faults.ppsfp import CombinationalFaultSimulator, pack_patterns
 from repro.faults.sharding import resolve_n_jobs, shard_faults
-from repro.rpg.prng import make_source
 from repro.simulation.compiled import shard_word_ranges
 
 #: Small TS0 shape shared by the pool cases below.
@@ -239,25 +235,6 @@ class TestGracefulDegradation:
             assert len(ev.degradation.events) == 3
 
 
-class TestPpsfpSharded:
-    def test_same_hits_same_order(self, s27):
-        # Faults are independent in the parallel-fault model: PPSFP over
-        # word-aligned shards, concatenated, is the serial result.
-        graph = FaultGraph(s27)
-        csim = CombinationalFaultSimulator(graph)
-        faults = collapse_faults(s27) * 3  # 96 faults -> two words
-        src = make_source(9)
-        patterns = np.array(
-            [src.bits(csim.num_inputs) for _ in range(64)], dtype=np.uint8
-        )
-        words = pack_patterns(patterns)
-        serial = csim.detected(words, faults)
-        shards = shard_faults(faults, 2)
-        assert len(shards) == 2
-        merged = [f for shard in shards for f in csim.detected(words, shard)]
-        assert merged == serial
-
-
 class TestProcedure2Determinism:
     """Same seed => byte-identical serialized results for n_jobs 1 vs 4.
 
@@ -292,16 +269,26 @@ class TestProcedure2Determinism:
         assert pool_submits.count > 0
         assert parallel == serial
 
-    def test_explicit_n_jobs_argument_wins(self, s27):
-        # The n_jobs parameter overrides config.n_jobs; forcing the
-        # config-parallel run serial still matches the baseline byte for
-        # byte (n_jobs is not serialized).
+    def test_explicit_n_jobs_argument_wins(self, s27, monkeypatch):
+        # The config passed in is where the evaluator's n_jobs comes
+        # from: forcing a parallel config serial runs serially, and both
+        # match byte for byte (n_jobs is not serialized).
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["n_jobs"])
+            return CandidateEvaluator(*args, **kwargs)
+
+        monkeypatch.setattr(procedure2, "CandidateEvaluator", recording)
         cfg = dataclasses.replace(self.CFG, n_jobs=4)
         faults = collapse_faults(s27)
-        forced_serial = run_procedure2(s27, cfg, faults, n_jobs=1)
-        baseline = run_procedure2(s27, self.CFG, faults)
+        forced_serial = run_procedure2(
+            s27, dataclasses.replace(cfg, n_jobs=1), faults
+        )
+        parallel = run_procedure2(s27, cfg, faults)
+        assert seen == [1, 4]
         assert json.dumps(result_to_dict(forced_serial)) == json.dumps(
-            result_to_dict(baseline)
+            result_to_dict(parallel)
         )
 
 

@@ -1,9 +1,15 @@
 """Tests for PODEM and detectability classification."""
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from repro.atpg.classify import classify_faults
 from repro.atpg.podem import Podem, PodemStatus, eval3, X
+from repro.bench_circuits.catalog import load_circuit
+from repro.bench_circuits.synthetic import SyntheticSpec, synthesize
 from repro.circuit.library import GateType
 from repro.circuit.netlist import Circuit
 from repro.faults.collapse import collapse_faults
@@ -144,3 +150,112 @@ class TestClassify:
     def test_summary_format(self, s27):
         text = classify_faults(s27).summary()
         assert "32 detectable" in text
+
+
+def classification_parts(cls):
+    """The three lists in order, plus the PODEM tests, as plain data."""
+    return [
+        [str(f) for f in cls.detectable],
+        [str(f) for f in cls.undetectable],
+        [str(f) for f in cls.aborted],
+        [[str(f), t["pi"], t["si"]] for f, t in cls.tests.items()],
+    ]
+
+
+#: sha256 of ``classification_parts`` under default arguments.  They
+#: were recorded with a separate pattern-parallel simulator, so they pin
+#: ``simulate_grouped``'s classification to an independent engine's.
+CLASSIFICATION_SHA256 = {
+    "s208": "dd89b8d0652f27f9e7d3ba566ea8698c2c7f0f1ea0612f7cc4748b98f5001a0b",
+    "s298": "529d6ad88141fa8b987ea63d12e9dd4f6f86f0fbc4859d2b55b14e7404fa8c8e",
+    "b01": "febd102f3b16d5cf55c9bd49669ef000f8816b816822ff57921a5a2a5c5dc208",
+    "b02": "e083bd35bc41e5358d3b38901d44aee8f061351345ebda6004a7b8f8e898e7af",
+}
+
+
+class TestClassificationLock:
+    """Any change to a partition, its order or a PODEM test shows here."""
+
+    @pytest.mark.parametrize("name", list(CLASSIFICATION_SHA256))
+    def test_digest(self, name):
+        parts = classification_parts(classify_faults(load_circuit(name)))
+        digest = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+        assert digest == CLASSIFICATION_SHA256[name]
+
+
+def reference_classification(circuit, random_patterns, backtrack_limit):
+    """``classify_faults``' recipe on the per-test path.
+
+    The same seeded patterns, as single-vector tests (PI bits, then
+    flop bits as the scan-in state), and the same PODEM, but every
+    fault simulation is :meth:`FaultSimulator.simulate`, one test at a
+    time.
+    """
+    graph = FaultGraph(circuit)
+    sim = FaultSimulator(graph)
+    n_pi = circuit.num_inputs
+    faults = collapse_faults(circuit)
+    rng = np.random.Generator(np.random.PCG64(20010618))
+    patterns = rng.integers(
+        0, 2, size=(random_patterns, n_pi + circuit.num_state_vars), dtype=np.uint8
+    ).tolist()
+    easy = sim.simulate(
+        [ScanTest(si=p[n_pi:], vectors=[p[:n_pi]]) for p in patterns], faults
+    )
+    detectable = [f for f in faults if f in easy]
+    queue = [f for f in faults if f not in easy]
+    undetectable, aborted, tests = [], [], []
+    podem = Podem(graph, backtrack_limit=backtrack_limit)
+    while queue:
+        fault = queue.pop(0)
+        res = podem.run(fault)
+        if res.status is PodemStatus.DETECTED:
+            detectable.append(fault)
+            tests.append([str(fault), res.pi_bits, res.si_bits])
+            also = sim.simulate(
+                [ScanTest(si=res.si_bits, vectors=[res.pi_bits])], queue
+            )
+            detectable.extend(f for f in queue if f in also)
+            queue = [f for f in queue if f not in also]
+        elif res.status is PodemStatus.UNDETECTABLE:
+            undetectable.append(fault)
+        else:
+            aborted.append(fault)
+    return [
+        [str(f) for f in detectable],
+        [str(f) for f in undetectable],
+        [str(f) for f in aborted],
+        tests,
+    ]
+
+
+#: Two seeded synthetic circuits with redundancy: under a small
+#: backtrack limit both leave faults aborted as well.
+SYNTH_A = SyntheticSpec(name="ref-a", n_pi=6, n_po=3, n_ff=5, n_gates=60, seed=3)
+SYNTH_B = SyntheticSpec(name="ref-b", n_pi=9, n_po=2, n_ff=8, n_gates=90, seed=17)
+
+
+class TestClassifyAgainstReference:
+    @pytest.mark.parametrize(
+        "make, random_patterns, backtrack_limit",
+        [
+            pytest.param(lambda: load_circuit("s27"), 512, 5000, id="s27"),
+            pytest.param(lambda: load_circuit("s27"), 8, 5000, id="s27-8pat"),
+            pytest.param(lambda: synthesize(SYNTH_A), 512, 5000, id="synth-a"),
+            pytest.param(
+                lambda: synthesize(SYNTH_A), 24, 20, id="synth-a-24pat-bt20"
+            ),
+            pytest.param(
+                lambda: synthesize(SYNTH_B), 24, 2, id="synth-b-24pat-bt2"
+            ),
+        ],
+    )
+    def test_matches_per_test_recipe(self, make, random_patterns, backtrack_limit):
+        circuit = make()
+        cls = classify_faults(
+            circuit, random_patterns=random_patterns,
+            backtrack_limit=backtrack_limit,
+        )
+        assert classification_parts(cls) == reference_classification(
+            circuit, random_patterns, backtrack_limit
+        )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import signal
+import time
 
 import pytest
 
@@ -148,6 +149,12 @@ class TestWorkerLifecycle:
         assert ev._pool is None
         for proc in procs:
             proc.join(timeout=10)
+            # The executor's own thread joins these workers too.  One it
+            # has just reaped reads as alive until that thread records
+            # the exit status, so give it a moment before judging.
+            deadline = time.monotonic() + 1.0
+            while proc.is_alive() and time.monotonic() < deadline:
+                time.sleep(0.01)
             assert not proc.is_alive()
 
     def test_respawn_after_sigkilled_workers_is_exact(self, rig):
