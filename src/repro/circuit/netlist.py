@@ -267,8 +267,8 @@ class NetlistArrays:
     primary inputs, then flop outputs (scan order), then gate outputs in
     insertion order -- so gate ``i`` drives net ``n_pi + n_ff + i``.  All
     arrays are ``int32``: at 100k gates the whole structure is a few
-    megabytes and ships through pickle/shared memory as flat buffers with
-    no per-gate object overhead.
+    megabytes and ships through pickle as flat buffers with no per-gate
+    object overhead.
 
     Attributes:
         name: circuit name (not part of structural identity).

@@ -23,9 +23,10 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.circuit.library import ALL_ONES
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault, FaultGraph
-from repro.simulation.compiled import Injections
+from repro.simulation.compiled import CompiledModel, Injections
 from repro.simulation.scan import bit_to_word, full_scan_state, limited_shift
 
 #: One limited-scan step: (shift_amount, fill_bits).
@@ -126,6 +127,19 @@ class ObservationPolicy:
 
 
 @dataclass
+class _FaultList:
+    """What the batched kernel needs of one fault list, built on first
+    use: signals, stuck values, one node's injection masks per test
+    count, and the pass plan (see :meth:`FaultSimulator._fault_list`)."""
+
+    faults: Sequence[Fault]  # pins the objects whose ids key the cache
+    sig: np.ndarray
+    value: np.ndarray
+    injections: Dict[int, Injections] = field(default_factory=dict)
+    plan: Optional[CompiledModel] = None
+
+
+@dataclass
 class _FaultFreeRef:
     po_words: List[np.ndarray]  # per u: (n_po,) replicated words
     scanout_words: List[np.ndarray]  # per u: (k,) replicated words
@@ -168,12 +182,13 @@ class FaultSimulator:
         self.chain = np.array(chain, dtype=np.intp)
 
     def __getstate__(self) -> dict:
-        # The injection cache and the signal memo are per-process
-        # working sets keyed by object identity; never ship them through
-        # pickle (pool workers under the spawn start method).
+        # The fault-list cache (injections, pass plans), the signal memo
+        # and the kept value buffer are per-process working sets; never
+        # ship them through pickle (pool workers under the spawn start
+        # method).
         state = self.__dict__.copy()
-        state.pop("_cand_inj_cache", None)
-        state.pop("_sig_memo", None)
+        for name in ("_fault_lists", "_sig_memo", "_vals_buf"):
+            state.pop(name, None)
         return state
 
     @property
@@ -250,25 +265,33 @@ class FaultSimulator:
         into :func:`chunk_tests` tests per pass.
 
         Every chunk is a one-candidate pass of the batched kernel
-        (:meth:`_simulate_candidate_batch`), with detected faults dropped
-        between chunks.
+        (:meth:`_simulate_candidate_batch`), with detected faults
+        dropped between chunks.  The faults' signals are resolved at
+        most once per call (:meth:`_fault_list`) and dropped along with
+        the faults.  The pass runs on the full plan: the list changes
+        from chunk to chunk, and a pass plan pays only when reused.
         """
         policy = policy or ObservationPolicy()
         tests = list(tests)
         remaining: List[Fault] = list(faults)
+        fault_list = self._fault_list(remaining)
         detected: Dict[Fault, DetectionRecord] = {}
         rank = 0
         for idx_list in self.candidate_partition(tests):
             pos = 0
             while pos < len(idx_list) and remaining:
-                groups = [
-                    remaining[i : i + 64] for i in range(0, len(remaining), 64)
-                ]
                 chunk = idx_list[pos : pos + chunk_tests(len(remaining), max_cols)]
                 pos += len(chunk)
                 rows: List[List[tuple]] = [[]]
                 self._simulate_candidate_batch(
-                    [tests], chunk, groups, policy, rank, rows
+                    [tests],
+                    chunk,
+                    len(remaining),
+                    self._base_injections(fault_list, len(chunk)),
+                    self.model,
+                    policy,
+                    rank,
+                    rows,
                 )
                 rank += 1
                 if rows[0]:
@@ -283,6 +306,11 @@ class FaultSimulator:
                         )
                         keep[fault_pos] = False
                     remaining = list(itertools.compress(remaining, keep))
+                    # Only this call sees the shrunk list: not cached.
+                    mask = np.array(keep, dtype=bool)
+                    fault_list = _FaultList(
+                        remaining, fault_list.sig[mask], fault_list.value[mask]
+                    )
         return detected
 
     # ------------------------------------------------------------------
@@ -341,11 +369,12 @@ class FaultSimulator:
     ) -> Optional[List[List[tuple]]]:
         """Score several candidate test sets against ``faults`` at once.
 
-        Every candidate (e.g. one ``TS(I, D1)``) is laid out along the
-        word axis next to the others, so one compiled-model pass per time
-        unit serves the whole batch -- the Python-level evaluation
-        overhead (the dominant cost for s1423-class circuits) is paid
-        once instead of once per candidate.
+        The candidates share one pass of the compiled model per time
+        unit, so the Python-level evaluation overhead (the dominant cost
+        for s1423-class circuits) is paid once instead of once per
+        candidate; candidates in the same state share their columns too
+        (:meth:`_simulate_candidate_batch`), and the pass runs on the
+        pass plan of the faults' signals (:meth:`CompiledModel.pass_plan`).
 
         Returns, per candidate, the raw first-detection rows
         ``(fault_pos, batch_rank, test_index, time_unit, where)`` against
@@ -370,11 +399,14 @@ class FaultSimulator:
             return [[] for _ in test_sets]
         if not self.candidates_compatible(test_sets, len(faults)):
             return None
-        groups = [faults[i : i + 64] for i in range(0, len(faults), 64)]
+        fault_list = self._fault_list(faults)
+        plan = self._pass_plan(fault_list)
+        n_groups = (len(faults) + 63) // 64
         rows: List[List[tuple]] = [[] for _ in test_sets]
         for batch_rank, idx_list in enumerate(
             self.candidate_partition(test_sets[0])
         ):
+            base_inj = self._base_injections(fault_list, len(idx_list))
             # Chunk the candidate axis so the fanned-out pass keeps
             # roughly the serial column budget: each candidate is
             # independent in the combined layout, so chunking C never
@@ -382,66 +414,76 @@ class FaultSimulator:
             # remaining lists (the Procedure 2 tail, where per-pass
             # Python overhead dominates) fit the whole batch; large ones
             # degrade gracefully towards per-candidate passes.
-            # One candidate occupies nT * (G + 1) columns in the combined
-            # layout (faulty groups plus the riding reference slot).
-            per_cand = max(1, len(idx_list) * (len(groups) + 1))
+            # One candidate occupies at most nT * (G + 1) columns
+            # (faulty groups plus the riding reference slot).
+            per_cand = max(1, len(idx_list) * (n_groups + 1))
             c_chunk = max(1, MAX_COLS // per_cand)
             for c0 in range(0, len(test_sets), c_chunk):
                 self._simulate_candidate_batch(
                     test_sets[c0 : c0 + c_chunk],
                     idx_list,
-                    groups,
+                    len(faults),
+                    base_inj,
+                    plan,
                     policy,
                     batch_rank,
                     rows[c0 : c0 + c_chunk],
+                    keep_buffer=True,
                 )
         return rows
 
-    def _base_injections(self, groups: List[List[Fault]], nT: int) -> Any:
-        """Single-candidate injection masks for ``groups`` x ``nT`` tests.
+    def _fault_list(self, faults: Sequence[Fault]) -> "_FaultList":
+        """The cached pass inputs of ``faults`` (:class:`_FaultList`).
 
-        The masks depend only on the fault identities (signal, value,
-        word/bit position) and the test count -- not on vectors or
-        schedules -- so consecutive candidate batches over an unchanged
-        remaining list (Procedure 2's plateau) reuse one build.  Keys
-        pin the fault objects, so an ``id`` can never be recycled while
-        its entry lives; the cache is small and never pickled.
+        They depend only on the fault identities -- not on vectors or
+        schedules -- so consecutive passes over an unchanged remaining
+        list (Procedure 2's plateau) reuse one build.  Keys pin the
+        fault objects, so an ``id`` can never be recycled while its
+        entry lives; four lists are kept, and never pickled.
         """
-        cache = getattr(self, "_cand_inj_cache", None)
-        if cache is None:
-            cache = self._cand_inj_cache = {}
-        flat = tuple(f for group in groups for f in group)
-        key = (nT, len(groups), tuple(map(id, flat)))
-        hit = cache.get(key)
-        if hit is not None:
-            return hit[1]
-        base_inj = Injections.build(
-            self._injection_entries(groups, nT), self.model.level_of_signal
-        )
-        while len(cache) >= 4:
-            cache.pop(next(iter(cache)))
-        cache[key] = (flat, base_inj)
-        return base_inj
+        cache = self.__dict__.setdefault("_fault_lists", {})
+        key = tuple(map(id, faults))
+        entry = cache.get(key)
+        if entry is None:
+            while len(cache) >= 4:
+                cache.pop(next(iter(cache)))
+            entry = cache[key] = _FaultList(faults, *self._fault_signals(faults))
+        return entry
 
+    def _base_injections(self, fault_list: "_FaultList", nT: int) -> Injections:
+        """One node's injection masks for ``fault_list`` x ``nT`` tests."""
+        inj = fault_list.injections.get(nT)
+        if inj is None:
+            inj = fault_list.injections[nT] = Injections.build(
+                self._injection_entries(fault_list.sig, fault_list.value, nT),
+                self.model.level_of_signal,
+            )
+        return inj
+
+    def _pass_plan(self, fault_list: "_FaultList") -> CompiledModel:
+        """The model without the copy rows ``fault_list`` injects nothing
+        into (:meth:`CompiledModel.pass_plan`)."""
+        if fault_list.plan is None:
+            fault_list.plan = self.model.pass_plan(fault_list.sig)
+        return fault_list.plan
+
+    @staticmethod
     def _injection_entries(
-        self, groups: List[List[Fault]], nT: int
+        sig: np.ndarray, value: np.ndarray, nT: int
     ) -> np.ndarray:
-        """``Injections.build`` rows for ``groups`` x ``nT`` tests.
+        """``Injections.build`` rows for faults ``sig``/``value`` x ``nT``
+        tests.
 
-        Fault ``bit`` of group ``g`` sits at bit ``bit`` of word
-        ``t * G + g`` for every test ``t``; returns an ``(n, 4)`` array.
+        Fault ``i`` sits at bit ``i % 64`` of word ``t * G + i // 64``
+        for every test ``t``, ``G`` being the fault words per test;
+        returns an ``(n, 4)`` array.
         """
-        sizes = [len(group) for group in groups]
-        flat = [f for group in groups for f in group]
-        sig, value = self._fault_signals(flat)
-        word = np.repeat(np.arange(len(groups)), sizes)
-        bit = np.arange(len(flat)) - np.repeat(
-            np.cumsum([0] + sizes[:-1]), sizes
-        )
-        entries = np.empty((nT, len(flat), 4), dtype=np.intp)
+        n = len(sig)
+        pos = np.arange(n)
+        entries = np.empty((nT, n, 4), dtype=np.intp)
         entries[:, :, 0] = sig
-        entries[:, :, 1] = np.arange(nT)[:, None] * len(groups) + word
-        entries[:, :, 2] = bit
+        entries[:, :, 1] = np.arange(nT)[:, None] * ((n + 63) // 64) + pos // 64
+        entries[:, :, 2] = pos % 64
         entries[:, :, 3] = value
         return entries.reshape(-1, 4)
 
@@ -480,161 +522,240 @@ class FaultSimulator:
         self,
         test_sets: Sequence[Sequence[ScanTest]],
         idx_list: Sequence[int],
-        groups: List[List[Fault]],
+        n_faults: int,
+        base_inj: Injections,
+        model: CompiledModel,
         policy: ObservationPolicy,
         batch_rank: int,
         rows: List[List[tuple]],
+        keep_buffer: bool = False,
     ) -> None:
-        """One uniform batch, all candidates side by side.
+        """One uniform batch of candidates, each distinct machine once.
 
-        Column layout: ``(c * nT + t) * (G + 1) + g`` with the fault-free
-        reference riding along as slot ``g == G`` -- one ``model.eval``
-        per time unit serves every candidate's faulty machines *and* the
-        reference.  Injection masks are remapped to the ``G + 1`` stride
-        and never touch the reference slots, so every column carries
-        bit-for-bit the value a separate reference pass and ``G``-stride
-        faulty pass would give it, and every detection row is identical
-        to a per-candidate pass (:meth:`simulate_grouped` is exactly
-        that: this kernel with ``C == 1``).
+        Columns are laid out by *node*: the candidates whose scan-in
+        states, vectors and limited-scan steps have been identical so
+        far form one node, whose machines stand for every member's.
+        Node ``n`` holds columns ``(n * nT + t) * (G + 1) + g``, with the
+        fault-free reference riding along as slot ``g == G``, so one
+        ``model.eval`` per time unit serves every node's faulty machines
+        *and* references.  A node splits at a time unit whose step
+        differs between its members; each child starts from a copy of
+        the parent's state and of the faults it has seen.  Each row a
+        node records is appended to every member, so every candidate
+        gets exactly the rows, in the order, of its own one-candidate
+        pass (:meth:`simulate_grouped` is this kernel with ``C == 1``:
+        one node, no bookkeeping).
+
+        ``base_inj`` holds one node's masks (:meth:`_base_injections`);
+        they are tiled block-major once for the pass's peak node count,
+        and a time unit with ``N`` nodes takes the first ``N`` blocks of
+        every level as views.  Masks never touch the reference slots, so
+        every column carries bit-for-bit the value a separate reference
+        pass and ``G``-stride faulty pass would give it.  The value
+        matrix of ``N`` nodes is a prefix of one buffer sized for the
+        peak, the simulator's kept one with ``keep_buffer``
+        (:meth:`_value_buffer`).  ``model`` is the full plan or a pass
+        plan of the injected signals (:meth:`CompiledModel.pass_plan`):
+        both give every observed row the same value.
         """
-        model = self.model
         C = len(test_sets)
         nT = len(idx_list)
-        G = len(groups)
+        G = (n_faults + 63) // 64
         W = G + 1  # faulty groups plus the reference slot
+        B = nT * W  # columns of one node
+        n_sv, n_sig = self._n_sv, model.n_signals
         cand_tests = [[ts[i] for i in idx_list] for ts in test_sets]
         length = cand_tests[0][0].length
-        cand_sched = [
-            [ct[0].step(u) for u in range(length)] for ct in cand_tests
-        ]
+        steps = [[ct[0].step(u) for u in range(length)] for ct in cand_tests]
         taps = policy.tap_rows()
 
-        si_cols = np.concatenate(
-            [self._si_words(ct) for ct in cand_tests], axis=1
-        )  # (chain, C * nT)
-        per_cand_pi = [self._pi_words(ct) for ct in cand_tests]
-        pi_cols = [
-            np.concatenate([per_cand_pi[c][u] for c in range(C)], axis=1)
-            for u in range(length)
-        ]
+        # The first nodes gather the candidates with identical inputs;
+        # the schedules fix every later split up front.
+        nodes: List[List[int]] = [[0]]
+        if C > 1:
+            inputs: Dict[tuple, int] = {}
+            nodes = []
+            for c, ct in enumerate(cand_tests):
+                key = tuple((tuple(t.si), tuple(map(tuple, t.vectors))) for t in ct)
+                i = inputs.setdefault(key, len(inputs))
+                if i == len(nodes):
+                    nodes.append([])
+                nodes[i].append(c)
+        si_words, pi_words = self._input_words(
+            [cand_tests[members[0]] for members in nodes], length
+        )
+        node_input = np.arange(len(nodes))
+        splits: Dict[int, Tuple[np.ndarray, List[List[int]]]] = {}
+        tree = nodes
+        for u in range(length):
+            if len(tree) == C:
+                break
+            children: List[List[int]] = []
+            src: List[int] = []
+            for n, members in enumerate(tree):
+                parts: Dict[Any, List[int]] = {}
+                for c in members:
+                    k, fill = steps[c][u]
+                    parts.setdefault((k, tuple(fill)) if k else 0, []).append(c)
+                children.extend(parts.values())
+                src.extend([n] * len(parts))
+            if len(children) > len(tree):
+                splits[u] = (np.array(src, dtype=np.intp), children)
+                tree = children
+        peak = len(tree)
 
-        # Injection masks are built once for a single candidate block and
-        # retargeted to the combined stride with per-candidate column
-        # offsets: the Python-level entry merge (O(faults * tests)
-        # tuples) is paid once per batch -- and cached across batches,
-        # since Procedure 2's plateau phase re-dispatches the same
-        # remaining faults window after window.
-        base_inj = self._base_injections(groups, nT)
-        inj = Injections()
-        offsets = np.arange(C, dtype=np.intp) * (nT * W)
+        # One node's masks restrided to the G + 1 stride (t*G + g ->
+        # t*W + g), tiled once per node of the peak.
+        offsets = np.arange(peak, dtype=np.intp)[:, None] * B
+        tiled = {}
         for lvl, (sigs, words, ands, ors) in base_inj.per_level.items():
-            # words = t * G + g for one candidate; restride to t * W + g.
-            restrided = words + words // G  # t*G+g + t == t*(G+1)+g
-            inj.per_level[lvl] = (
-                np.tile(sigs, C),
-                (restrided[None, :] + offsets[:, None]).reshape(-1),
-                np.tile(ands, C),
-                np.tile(ors, C),
+            words = words + words // G
+            if peak > 1:
+                sigs, ands, ors = (np.tile(a, peak) for a in (sigs, ands, ors))
+                words = (words + offsets).reshape(-1)
+            tiled[lvl] = (sigs, words, ands, ors)
+        n_words = n_sig * peak * B
+        buf = (
+            self._value_buffer(n_words)
+            if keep_buffer
+            else np.empty(n_words, dtype=np.uint64)
+        )
+
+        def node_prefix(N: int) -> Tuple[np.ndarray, Injections]:
+            """The value matrix and the injections of the first ``N`` nodes."""
+            inj = Injections(
+                tiled
+                if N == peak
+                else {
+                    lvl: tuple(a[: len(a) // peak * N] for a in group)
+                    for lvl, group in tiled.items()
+                }
             )
+            return buf[: n_sig * N * B].reshape(n_sig, N * B), inj
 
-        n_cols = C * nT * W
-        state = np.zeros((self._n_sv, n_cols), dtype=np.uint64)
+        N = len(nodes)
+        vals, inj = node_prefix(N)
+        state = np.zeros((n_sv, N * B), dtype=np.uint64)
         if len(self.chain):
-            state[self.chain, :] = np.repeat(si_cols, W, axis=1)
-        vals = model.alloc(n_cols)
-        seen = np.zeros((C, G), dtype=np.uint64)
+            state[self.chain, :] = np.repeat(si_words, W, axis=2).reshape(
+                len(self.chain), N * B
+            )
+        pi_words = np.repeat(pi_words, W, axis=3)  # (length, n_pi, inputs, B)
+        seen = np.zeros((N, G), dtype=np.uint64)
 
-        def record_one(
-            c: int, diff_tg: np.ndarray, u: int, where: str
+        def record(
+            n: int, diff_tg: np.ndarray, fresh: np.ndarray, u: int, where: str
         ) -> None:
-            """Candidate ``c``'s slice of the serial ``record`` logic."""
-            agg = np.bitwise_or.reduce(diff_tg, axis=0)
-            fresh = agg & ~seen[c]
-            if not fresh.any():
-                return
+            """Node ``n``'s first detections, the ``fresh`` bits of its
+            ``(nT, G)`` differences, appended to every member's rows."""
+            members = [rows[c] for c in nodes[n]]
             for g in np.flatnonzero(fresh):
                 bits = int(fresh[g])
                 mask_col = diff_tg[:, g]
                 while bits:
                     low = bits & -bits
-                    bit = low.bit_length() - 1
-                    if bit < len(groups[g]):
-                        t_loc = int(
-                            np.flatnonzero(mask_col & np.uint64(low))[0]
-                        )
+                    fault_pos = int(g) * 64 + low.bit_length() - 1
+                    if fault_pos < n_faults:
+                        t_loc = int(np.flatnonzero(mask_col & np.uint64(low))[0])
                         # Plain ints only: rows cross a process boundary
                         # and are schema-validated on the way back.
-                        rows[c].append(
-                            (
-                                int(g) * 64 + bit,
-                                batch_rank,
-                                idx_list[t_loc],
-                                u,
-                                where,
-                            )
-                        )
+                        row = (fault_pos, batch_rank, idx_list[t_loc], u, where)
+                        for out in members:
+                            out.append(row)
                     bits ^= low
-            seen[c] |= fresh
+            seen[n] |= fresh
 
-        def record_all(diff_ctg: np.ndarray, u: int, where: str) -> None:
-            for c in range(C):
-                record_one(c, diff_ctg[c], u, where)
+        def record_nodes(diff_ntg: np.ndarray, u: int, where: str) -> None:
+            """Every node's first detections in ``(N, nT, G)`` differences."""
+            fresh = np.bitwise_or.reduce(diff_ntg, axis=1) & ~seen
+            if fresh.any():
+                for n in range(len(fresh)):
+                    if fresh[n].any():
+                        record(n, diff_ntg[n], fresh[n], u, where)
 
         for u in range(length):
-            for c in range(C):
-                k, fill = cand_sched[c][u]
+            split = splits.get(u)
+            if split is not None:
+                src, nodes = split
+                state = state.reshape(n_sv, N, B)[:, src].reshape(n_sv, len(src) * B)
+                seen = seen[src]
+                node_input = node_input[src]
+                N = len(nodes)
+                vals, inj = node_prefix(N)
+            for n, members in enumerate(nodes):
+                k, fill = steps[members[0]][u]
                 if k > 0:
-                    blk, out_words = self._shift(
-                        state[:, c * nT * W : (c + 1) * nT * W], k, list(fill)
-                    )
-                    state[:, c * nT * W : (c + 1) * nT * W] = blk
+                    cols = slice(n * B, (n + 1) * B)
+                    blk, out_words = self._shift(state[:, cols], k, list(fill))
+                    state[:, cols] = blk
                     if policy.limited_scan_out:
                         out = out_words.reshape(k, nT, W)
-                        diff = out[:, :, :G] ^ out[:, :, G:]
-                        record_one(
-                            c,
-                            np.bitwise_or.reduce(diff, axis=0),
-                            u,
-                            "limited-scan",
+                        diff = np.bitwise_or.reduce(
+                            out[:, :, :G] ^ out[:, :, G:], axis=0
                         )
-            vals[model.pi_idx, :] = np.repeat(pi_cols[u], W, axis=1)
+                        fresh = np.bitwise_or.reduce(diff, axis=0) & ~seen[n]
+                        if fresh.any():
+                            record(n, diff, fresh, u, "limited-scan")
+            vals[model.pi_idx, :] = pi_words[u][:, node_input].reshape(
+                self._n_pi, N * B
+            )
             vals[model.q_idx, :] = state
             model.eval(vals, injections=inj)
             if policy.primary_outputs and len(model.po_idx):
-                n_po = len(model.po_idx)
-                po = vals[model.po_idx, :].reshape(n_po, C, nT, W)
-                diff = po[..., :G] ^ po[..., G:]
-                record_all(np.bitwise_or.reduce(diff, axis=0), u, "po")
-            state = vals[model.d_idx, :].copy()
+                po = vals[model.po_idx, :].reshape(len(model.po_idx), N, nT, W)
+                record_nodes(
+                    np.bitwise_or.reduce(po[..., :G] ^ po[..., G:], axis=0), u, "po"
+                )
+            state = vals[model.d_idx, :]
             if taps is not None:
-                tp = state[taps, :].reshape(len(taps), C, nT, W)
-                diff = tp[..., :G] ^ tp[..., G:]
-                record_all(np.bitwise_or.reduce(diff, axis=0), u, "state-tap")
+                tp = state[taps, :].reshape(len(taps), N, nT, W)
+                record_nodes(
+                    np.bitwise_or.reduce(tp[..., :G] ^ tp[..., G:], axis=0),
+                    u,
+                    "state-tap",
+                )
 
         if policy.final_scan_out and self.chain_length:
-            fs = state[self.chain].reshape(self.chain_length, C, nT, W)
-            diff = fs[..., :G] ^ fs[..., G:]
-            record_all(np.bitwise_or.reduce(diff, axis=0), length, "scan-out")
-
-    def _si_words(self, tests: Sequence[ScanTest]) -> np.ndarray:
-        """(chain_length, n_tests) replicated-bit words of the SIs."""
-        bits = np.array([t.si for t in tests], dtype=bool).T
-        return np.where(
-            bits, np.uint64(0xFFFFFFFFFFFFFFFF), np.uint64(0)
-        ).astype(np.uint64)
-
-    def _pi_words(self, tests: Sequence[ScanTest]) -> List[np.ndarray]:
-        """Per time unit: (n_pi, n_tests) replicated-bit vector words."""
-        length = tests[0].length
-        out: List[np.ndarray] = []
-        for u in range(length):
-            bits = np.array([t.vectors[u] for t in tests], dtype=bool).T
-            out.append(
-                np.where(
-                    bits, np.uint64(0xFFFFFFFFFFFFFFFF), np.uint64(0)
-                ).astype(np.uint64)
+            fs = state[self.chain].reshape(self.chain_length, N, nT, W)
+            record_nodes(
+                np.bitwise_or.reduce(fs[..., :G] ^ fs[..., G:], axis=0),
+                length,
+                "scan-out",
             )
-        return out
+
+    def _value_buffer(self, n_words: int) -> np.ndarray:
+        """At least ``n_words`` words for window passes' value matrices,
+        kept across passes.
+
+        A window pass's value matrix is its largest allocation.  Made
+        afresh, every pass pays a page fault per 4 KiB page on first
+        touch (about 15 ms per 25 MB on a 2-vCPU host), and, freed back
+        into the malloc heap at a size that varies from pass to pass, it
+        fragments the heap: peak RSS rose 16% on p2_s1423_batched.  So
+        the simulator keeps one buffer, grown to its widest window pass,
+        for as long as it lives.  One-candidate passes allocate their
+        own: a pool's parent runs TS0's before it forks its workers,
+        which would each inherit a kept buffer.  Never pickled.
+        """
+        buf = getattr(self, "_vals_buf", None)
+        if buf is None or len(buf) < n_words:
+            self._vals_buf = None  # free the old buffer before the new one
+            buf = self._vals_buf = np.empty(n_words, dtype=np.uint64)
+        return buf
+
+    def _input_words(
+        self, inputs: Sequence[Sequence[ScanTest]], length: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Replicated-bit words of the scan-in states, ``(chain, inputs,
+        n_tests)``, and of the vectors, ``(length, n_pi, inputs,
+        n_tests)``, of equally long test lists."""
+        shape = (len(inputs), len(inputs[0]))
+        si = np.array([[t.si for t in tests] for tests in inputs], dtype=bool)
+        pi = np.array([[t.vectors for t in tests] for tests in inputs], dtype=bool)
+        si = si.reshape(*shape, self.chain_length).transpose(2, 0, 1)
+        pi = pi.reshape(*shape, length, self._n_pi).transpose(2, 3, 0, 1)
+        zero = np.uint64(0)
+        return np.where(si, ALL_ONES, zero), np.where(pi, ALL_ONES, zero)
 
     def detected_by(
         self,
@@ -763,8 +884,9 @@ class FaultSimulator:
         model = self.model
         taps = policy.tap_rows()
         n_words = len(groups)
+        sig, value = self._fault_signals([f for group in groups for f in group])
         injections = Injections.build(
-            self._injection_entries(groups, 1), model.level_of_signal
+            self._injection_entries(sig, value, 1), model.level_of_signal
         )
 
         state = self._initial_state(test.si, n_words)

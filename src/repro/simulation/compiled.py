@@ -335,6 +335,58 @@ class CompiledModel:
         state["_blocks"] = {}
         return state
 
+    def pass_plan(self, injected: np.ndarray) -> "CompiledModel":
+        """This model without the copy rows a pass injects nothing into.
+
+        A non-inverted copy row (a BUF: every fanout branch of the fault
+        graph is one) whose signal is not in ``injected`` holds its
+        source's value in every column, so its consumers, ``po_idx`` and
+        ``d_idx`` read the source instead (chains of copies resolved)
+        and the row is not evaluated.  :meth:`eval` leaves the dropped
+        signals' rows unwritten; nothing reads them.  Everything but the
+        plan arrays is shared with this model.
+        """
+        table = self._plan_table
+        lo, hi = table[:, 3], table[:, 4]
+        is_copy = (table[:, 1] == _COPY) & (table[:, 2] == 0)
+        injected_mask = np.zeros(self.n_signals, dtype=bool)
+        injected_mask[injected] = True
+        drop = np.repeat(is_copy, hi - lo) & ~injected_mask[self._plan_dst]
+        alias = np.arange(self.n_signals)
+        alias[self._plan_dst[drop]] = self._plan_src1[drop]
+        while True:  # pointer jumping: a copy of a copy reads the first source
+            resolved = alias[alias]
+            if np.array_equal(resolved, alias):
+                break
+            alias = resolved
+        keep = ~drop
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        start, stop = kept_before[lo], kept_before[hi]
+        dst = self._plan_dst[keep]
+        steps = stop > start
+        start, stop = start[steps], stop[steps]
+        contiguous = dst[stop - 1] - dst[start] == stop - start - 1
+        plan = object.__new__(CompiledModel)
+        plan.__dict__.update(self.__dict__)
+        plan._plan_dst = dst
+        plan._plan_src1 = alias[self._plan_src1[keep]]
+        plan._plan_src2 = alias[self._plan_src2[keep]]
+        plan._plan_table = np.stack(
+            [
+                table[steps, 0],
+                table[steps, 1],
+                table[steps, 2],
+                start,
+                stop,
+                np.where(contiguous, dst[start], -1),
+            ],
+            axis=1,
+        )
+        plan.po_idx = alias[self.po_idx]
+        plan.d_idx = alias[self.d_idx]
+        plan._blocks = {}
+        return plan
+
     def _plan_blocks(self, rows: int) -> List[List[tuple]]:
         """Per level, the blocks of a pass whose scratch holds ``rows``.
 
@@ -344,8 +396,9 @@ class CompiledModel:
         which is what counts on narrow matrices, where the number of
         numpy calls sets the cost; a one-step block whose dst rows are
         contiguous writes straight into them, which is what counts on
-        wide ones, where memory traffic does.  The blocks of the last
-        four row budgets are kept.
+        wide ones, where memory traffic does.  Every row budget's blocks
+        are kept: :meth:`eval` only asks for powers of two and the widest
+        level, so a plan holds at most about 17 sets.
         """
         blocks = self._blocks.get(rows)
         if blocks is not None:
@@ -366,8 +419,6 @@ class CompiledModel:
                 blocks[lvl - 1].append(self._block([chunk]))
         if run:
             blocks[run[0][0] - 1].append(self._block(run))
-        while len(self._blocks) >= 4:
-            self._blocks.pop(next(iter(self._blocks)))
         self._blocks[rows] = blocks
         return blocks
 
@@ -444,7 +495,8 @@ class CompiledModel:
 
         The pass runs the plan's steps in blocks (:meth:`_plan_blocks`)
         sized to two scratch operands of at most ``_SCRATCH_BYTES``
-        each: a block gathers its operands into the scratch and combines
+        each, their row count floored to a power of two: a block
+        gathers its operands into the scratch and combines
         them straight into its dst rows when those are contiguous, else
         in the scratch followed by one scatter.
         """
@@ -459,9 +511,9 @@ class CompiledModel:
                 f"rows, got {vals.dtype} {vals.shape}"
             )
         n_cols = vals.shape[1]
-        rows = max(
-            1, min(self._max_level_rows, _SCRATCH_BYTES // (8 * max(n_cols, 1)))
-        )
+        # A power of two, so a pass whose width varies reuses a few sets.
+        budget = _SCRATCH_BYTES // (8 * max(n_cols, 1))
+        rows = min(self._max_level_rows, 1 << max(budget.bit_length() - 1, 0))
         blocks = self._plan_blocks(rows)
         a = np.empty((rows, n_cols), dtype=np.uint64)
         b = np.empty((rows, n_cols), dtype=np.uint64)

@@ -10,7 +10,8 @@ from repro.bench_circuits.synthetic import SyntheticSpec, synthesize
 from repro.circuit.library import ALL_ONES, GATE_CODE, GateType, eval_gate_bits
 from repro.circuit.levelize import levelize, levelize_arrays
 from repro.circuit.netlist import Circuit
-from repro.simulation.compiled import _SCRATCH_BYTES, CompiledModel, Injections
+from repro.faults.model import FaultGraph
+from repro.simulation.compiled import _COPY, _SCRATCH_BYTES, CompiledModel, Injections
 
 
 def reference_eval(circuit: Circuit, input_bits, state_bits):
@@ -453,3 +454,60 @@ class TestEvalInputChecks:
         inj = Injections.build([(0, 0, 0, 1)], [0, 0])
         with pytest.raises(ValueError):
             inj.apply(np.zeros((2, 4), dtype=np.uint64)[:, :2], 0)
+
+
+# ----------------------------------------------------------------------
+# The pass plan: copy rows without injections cut out.
+# ----------------------------------------------------------------------
+@settings(max_examples=40, deadline=None)
+@given(
+    circuit=mixed_circuits(),
+    branched=st.booleans(),
+    width=st.sampled_from([1, 63, "chunked"]),
+    seed=st.integers(0, 2**16),
+    share=st.floats(0.0, 1.0),
+)
+def test_pass_plan_observes_what_the_full_plan_does(
+    circuit, branched, width, seed, share
+):
+    """PO and D rows, and every injected row, of the pass plan equal the
+    full plan's, for random injected signal sets (fanout branches made
+    explicit or not)."""
+    model = FaultGraph(circuit).model if branched else CompiledModel(circuit)
+    n_cols = chunked_width(model) if width == "chunked" else width
+    rng = np.random.Generator(np.random.PCG64(seed))
+    injected = np.flatnonzero(rng.random(model.n_signals) < share)
+    entries = random_entries(model, n_cols, rng)
+    entries = entries[np.isin(entries[:, 0], injected)]
+    inj = Injections.build(entries, model.level_of_signal)
+    start = rng.integers(0, 2**64, size=(model.n_signals, n_cols), dtype=np.uint64)
+    want, got = start.copy(), start.copy()
+    model.eval(want, inj)
+    plan = model.pass_plan(injected)
+    plan.eval(got, inj)
+    assert np.array_equal(got[plan.po_idx], want[model.po_idx])
+    assert np.array_equal(got[plan.d_idx], want[model.d_idx])
+    assert np.array_equal(got[injected], want[injected])
+    kept = set(plan._plan_dst.tolist())
+    for lvl, op, inv, lo, hi, first in model._plan_table.tolist():
+        for dst in model._plan_dst[lo:hi].tolist():
+            # Only non-inverted copies that carry no injection are cut.
+            assert (dst in kept) == (op != _COPY or inv or dst in injected)
+
+
+def test_pass_plan_resolves_copy_chains():
+    c = Circuit()
+    c.add_input("a")
+    c.add_output("d")
+    c.add_gate("b", GateType.BUF, ["a"])
+    c.add_gate("c", GateType.BUF, ["b"])
+    c.add_gate("d", GateType.NOT, ["c"])
+    model = CompiledModel(c)
+    plan = model.pass_plan(np.array([], dtype=np.intp))
+    # Both buffers are cut; the inverter reads the input directly.
+    assert plan._plan_dst.tolist() == [model.index_of("d")]
+    assert plan._plan_src1.tolist() == [model.index_of("a")]
+    # An injected buffer stays, and the chain resolves to it.
+    kept = model.pass_plan(np.array([model.index_of("b")]))
+    assert kept._plan_dst.tolist() == [model.index_of("b"), model.index_of("d")]
+    assert kept._plan_src1.tolist() == [model.index_of("a"), model.index_of("b")]
