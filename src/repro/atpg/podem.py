@@ -19,6 +19,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.atpg.scoap import compute_scoap
 from repro.circuit.levelize import levelize
 from repro.circuit.library import GateType
 from repro.faults.model import Fault, FaultGraph
@@ -129,8 +130,6 @@ class Podem:
         self._obs_dist = self._compute_obs_distance()
 
         # SCOAP controllabilities guide backtrace toward cheap inputs.
-        from repro.atpg.scoap import compute_scoap
-
         scoap = compute_scoap(circuit)
         self._cc0 = [scoap.cc0.get(n, 1) for n in model.signal_names]
         self._cc1 = [scoap.cc1.get(n, 1) for n in model.signal_names]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Protocol
 
-import numpy as np
+from numpy.random import PCG64, Generator
 
 from repro.rpg.lfsr import Lfsr
 
@@ -84,7 +84,7 @@ class NumpySource:
 
     def __init__(self, seed: int) -> None:
         self._seed = int(seed)
-        self._rng = np.random.Generator(np.random.PCG64(self._seed))
+        self._rng = Generator(PCG64(self._seed))
 
     def bit(self) -> int:
         return int(self._rng.integers(0, 2))

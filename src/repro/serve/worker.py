@@ -11,6 +11,14 @@ begins.  A retried or resumed attempt passes ``resume=True`` and
 continues from the committed state, byte-identical to an uninterrupted
 run -- the property the whole serving layer's crash story rests on.
 
+Everything the child runs is imported here, at module level, and the
+server imports this module at startup (through
+:mod:`repro.serve.budgets`).  A fork shares its parent's loaded
+modules, so each job child starts with the whole job path already in
+memory instead of importing it again: a module first loaded inside the
+child is paid for once per job, not once per server.
+``tests/test_serve_warm_fork.py`` holds the job path to that.
+
 :func:`partial_result_from_checkpoint` is the degradation path: when a
 job exhausts its budgets, the parent reconstructs the coverage achieved
 so far purely from the journal's committed transactions -- no
@@ -20,9 +28,21 @@ result instead of a bare failure.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.robustness.checkpoint import CheckpointError, load_checkpoint
+from repro.circuit.bench_parser import parse_bench
+from repro.circuit.cache import CompileCache
+from repro.core.config import BistConfig
+from repro.core.session import LimitedScanBist
+from repro.experiments.serialize import result_to_dict
+from repro.faults.collapse import collapse_faults
+from repro.robustness.chaos import ServeChaosPlan, install_commit_bomb
+from repro.robustness.checkpoint import (
+    CheckpointError,
+    load_checkpoint,
+    session_fingerprint,
+)
 
 
 def job_child_main(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -33,20 +53,9 @@ def job_child_main(payload: Dict[str, Any]) -> Dict[str, Any]:
     (``collapsed``/``detectable``), ``checkpoint`` (journal path),
     ``resume`` (bool), ``cache_dir`` (optional compile cache),
     ``chaos`` (optional :class:`ServeChaosPlan` dict).
-    Imports live inside the function: it runs in a forked child and the
-    parent should not pay for simulator imports at server startup.
+    Runs in a forked child of the server, which has already loaded
+    every module this function reaches.
     """
-    from pathlib import Path
-
-    from repro.circuit.bench_parser import parse_bench
-    from repro.circuit.cache import CompileCache
-    from repro.core.config import BistConfig
-    from repro.core.session import LimitedScanBist
-    from repro.experiments.serialize import result_to_dict
-    from repro.faults.collapse import collapse_faults
-    from repro.robustness.chaos import ServeChaosPlan, install_commit_bomb
-    from repro.robustness.checkpoint import session_fingerprint
-
     chaos = ServeChaosPlan.from_dict(payload.get("chaos"))
     if chaos.active:
         install_commit_bomb(chaos.die_after_commits, chaos.commit_delay_s)

@@ -22,6 +22,13 @@ not hold:
    clean in-process run.  The event stream polled just before the kill
    is a prefix of the recovered job's final stream: the same ``seq``
    numbers with the same content.
+5. **warm fork** -- the claims 1-3 server runs under ``python -X
+   importtime`` with its stderr in a log, which every forked job child
+   inherits and shares.  Once one fresh job has finished (it may have
+   triggered one-time imports in the server itself), two more fresh
+   jobs with distinct ``base_seed`` add no ``import time:`` line: each
+   job child runs on modules its server loaded at startup.  The line
+   counts are recorded in the verdict.
 
 Prints a JSON verdict either way.  Exit codes: 0 pass, 1 a claim
 failed, 2 harness trouble (server never came up).
@@ -56,30 +63,34 @@ class SmokeFailure(AssertionError):
     """One of the service's published claims did not hold."""
 
 
-def _serve_cmd(data_dir: Path, extra: Sequence[str] = ()) -> List[str]:
+def _serve_cmd(data_dir: Path, python_flags: Sequence[str] = ()) -> List[str]:
     return [
-        sys.executable, "-m", "repro", "serve",
+        sys.executable, *python_flags, "-m", "repro", "serve",
         "--data-dir", str(data_dir),
         "--port", "0",
         "--enable-chaos",
         "--wall-budget", "120",
         "--retries", "2",
-        *extra,
     ]
 
 
-def _start_server(data_dir: Path, timeout_s: float) -> subprocess.Popen:
+def _start_server(
+    data_dir: Path, timeout_s: float, import_log: Optional[Path] = None
+) -> subprocess.Popen:
+    """Start ``repro serve``; with ``import_log``, under ``-X importtime``."""
     port_file = data_dir / "serve.port"
     if port_file.exists():
         port_file.unlink()
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.Popen(
-        _serve_cmd(data_dir),
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+    flags = ("-X", "importtime") if import_log else ()
+    with open(import_log or os.devnull, "ab") as stderr:
+        proc = subprocess.Popen(
+            _serve_cmd(data_dir, flags),
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+        )
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         if port_file.exists() and port_file.read_text("utf-8").strip():
@@ -123,6 +134,14 @@ def _require(claim: bool, message: str) -> None:
         raise SmokeFailure(message)
 
 
+def _imports_logged(import_log: Path) -> List[str]:
+    """The ``-X importtime`` lines the server and its children wrote."""
+    text = import_log.read_text("utf-8", errors="replace")
+    return [
+        line for line in text.splitlines() if line.startswith("import time:")
+    ]
+
+
 def run_smoke(data_dir: Path, timeout_s: float) -> Dict[str, Any]:
     from repro.bench_circuits import load_circuit
     from repro.circuit.bench_parser import write_bench
@@ -130,7 +149,8 @@ def run_smoke(data_dir: Path, timeout_s: float) -> Dict[str, Any]:
     bench = write_bench(load_circuit("s27"))
     report: Dict[str, Any] = {}
 
-    server = _start_server(data_dir, timeout_s=30.0)
+    import_log = data_dir / "serve-importtime.log"
+    server = _start_server(data_dir, timeout_s=30.0, import_log=import_log)
     try:
         client = _client(data_dir)
         health = client.healthz()
@@ -166,6 +186,26 @@ def run_smoke(data_dir: Path, timeout_s: float) -> Dict[str, Any]:
             "cached result differs from in-process run",
         )
         report["cached_job"] = rerun["job_id"]
+
+        # -- claim 5: fresh jobs fork from a warm server ---------------
+        warm = len(_imports_logged(import_log))
+        for seed in (1, 2):
+            fresh = client.submit(
+                bench, name="s27", config={**QUICK_CONFIG, "base_seed": seed}
+            )
+            _require(not fresh["cached"], "distinct base_seed hit the cache")
+            done = client.wait(fresh["job_id"], timeout_s=timeout_s)
+            _require(done["state"] == "done", f"job ended {done['state']}")
+        added = _imports_logged(import_log)[warm:]
+        report["import_lines"] = {
+            "through_first_job": warm,
+            "next_two_fresh_jobs": len(added),
+        }
+        _require(
+            not added,
+            f"{len(added)} import(s) in fresh jobs after the first: "
+            + "; ".join(line.split("|")[-1].strip() for line in added[:5]),
+        )
 
         # -- claim 4a: start a paced job and SIGKILL mid-run -----------
         slow = client.submit(
