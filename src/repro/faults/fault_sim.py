@@ -11,7 +11,10 @@ paper uses:
 - the complete state at the final scan-out.
 
 Faults are dropped at test boundaries (the standard trade-off: within one
-test a detected fault keeps simulating, which is harmless).
+test a detected fault keeps simulating, which is harmless).  The per-test
+loop serves both fault models: a stuck-at fault is injected at every time
+unit, a transition fault (:mod:`repro.faults.transition`) only at the
+time units that launch it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.circuit.library import ALL_ONES
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault, FaultGraph
 from repro.simulation.compiled import CompiledModel, Injections
-from repro.simulation.scan import bit_to_word, full_scan_state, limited_shift
+from repro.simulation.scan import full_scan_state, limited_shift
 
 #: One limited-scan step: (shift_amount, fill_bits).
 ScheduleStep = Tuple[int, Sequence[int]]
@@ -85,6 +88,17 @@ class ScanTest:
         return self.schedule[u]
 
 
+#: Record order within one time unit: the limited-scan compare runs
+#: before the gate eval, primary outputs and state taps after it, and
+#: the final scan-out is a time unit of its own.
+WHERE_RANK: Dict[str, int] = {
+    "limited-scan": 0,
+    "po": 1,
+    "state-tap": 2,
+    "scan-out": 3,
+}
+
+
 @dataclass
 class DetectionRecord:
     """Where and when a fault was first detected."""
@@ -92,7 +106,7 @@ class DetectionRecord:
     fault: Fault
     test_index: int
     time_unit: int
-    where: str  # 'po', 'limited-scan', or 'scan-out'
+    where: str  # a WHERE_RANK key
 
     def __post_init__(self) -> None:
         # One canonical object per observation-point name no matter
@@ -145,6 +159,7 @@ class _FaultFreeRef:
     scanout_words: List[np.ndarray]  # per u: (k,) replicated words
     final_state: np.ndarray  # (chain, 1)
     tap_words: List[np.ndarray]  # per u: (n_taps,) captured-state taps
+    launches: Optional[np.ndarray]  # (length, n_faults) bool, or None
 
 
 class FaultSimulator:
@@ -224,25 +239,45 @@ class FaultSimulator:
         Returns a record for every detected fault.  Stops early once every
         target fault is detected.
         """
+        faults = list(faults)
+        sig, value = self._fault_signals(faults)
+        return self._simulate_tests(tests, faults, sig, value, policy)
+
+    def _simulate_tests(
+        self,
+        tests: Iterable[ScanTest],
+        faults: Sequence[Any],
+        sig: np.ndarray,
+        value: np.ndarray,
+        policy: Optional[ObservationPolicy],
+        launch_only: bool = False,
+    ) -> Dict[Any, DetectionRecord]:
+        """The per-test loop of both fault models: fault ``faults[i]``
+        forces ``value[i]`` onto signal ``sig[i]`` at every time unit,
+        or with ``launch_only`` (transition faults) only at the time
+        units that launch it.  Detected faults drop by position."""
         policy = policy or ObservationPolicy()
-        remaining: List[Fault] = list(faults)
-        detected: Dict[Fault, DetectionRecord] = {}
+        remaining = list(faults)
+        detected: Dict[Any, DetectionRecord] = {}
 
         for t_idx, test in enumerate(tests):
             self._check_test(test)
             if not remaining:
                 break
-            ref = self._fault_free_reference(test, policy)
-            groups = [remaining[i : i + 64] for i in range(0, len(remaining), 64)]
-            hits = self._simulate_faulty(test, groups, ref, policy)
+            ref = self._fault_free_reference(
+                test, policy, (sig, value) if launch_only else None
+            )
+            hits = self._simulate_faulty(test, sig, value, ref, policy)
             if hits:
-                for (word, bit), (u, where) in hits.items():
-                    fault = groups[word][bit]
+                keep = np.ones(len(remaining), dtype=bool)
+                for pos, (u, where) in hits.items():
+                    fault = remaining[pos]
                     detected[fault] = DetectionRecord(
                         fault=fault, test_index=t_idx, time_unit=u, where=where
                     )
-                hit_faults = set(detected)
-                remaining = [f for f in remaining if f not in hit_faults]
+                    keep[pos] = False
+                remaining = list(itertools.compress(remaining, keep))
+                sig, value = sig[keep], value[keep]
         return detected
 
     def simulate_grouped(
@@ -428,7 +463,6 @@ class FaultSimulator:
                     policy,
                     batch_rank,
                     rows[c0 : c0 + c_chunk],
-                    keep_buffer=True,
                 )
         return rows
 
@@ -528,7 +562,6 @@ class FaultSimulator:
         policy: ObservationPolicy,
         batch_rank: int,
         rows: List[List[tuple]],
-        keep_buffer: bool = False,
     ) -> None:
         """One uniform batch of candidates, each distinct machine once.
 
@@ -552,11 +585,11 @@ class FaultSimulator:
         every level as views.  Masks never touch the reference slots, so
         every column carries bit-for-bit the value a separate reference
         pass and ``G``-stride faulty pass would give it.  The value
-        matrix of ``N`` nodes is a prefix of one buffer sized for the
-        peak, the simulator's kept one with ``keep_buffer``
-        (:meth:`_value_buffer`).  ``model`` is the full plan or a pass
-        plan of the injected signals (:meth:`CompiledModel.pass_plan`):
-        both give every observed row the same value.
+        matrix of ``N`` nodes is a prefix of the simulator's kept buffer
+        (:meth:`_value_buffer`), sized for the peak.  ``model`` is the
+        full plan or a pass plan of the injected signals
+        (:meth:`CompiledModel.pass_plan`): both give every observed row
+        the same value.
         """
         C = len(test_sets)
         nT = len(idx_list)
@@ -614,12 +647,7 @@ class FaultSimulator:
                 sigs, ands, ors = (np.tile(a, peak) for a in (sigs, ands, ors))
                 words = (words + offsets).reshape(-1)
             tiled[lvl] = (sigs, words, ands, ors)
-        n_words = n_sig * peak * B
-        buf = (
-            self._value_buffer(n_words)
-            if keep_buffer
-            else np.empty(n_words, dtype=np.uint64)
-        )
+        buf = self._value_buffer(n_sig * peak * B)
 
         def node_prefix(N: int) -> Tuple[np.ndarray, Injections]:
             """The value matrix and the injections of the first ``N`` nodes."""
@@ -724,18 +752,20 @@ class FaultSimulator:
             )
 
     def _value_buffer(self, n_words: int) -> np.ndarray:
-        """At least ``n_words`` words for window passes' value matrices,
+        """At least ``n_words`` words for a batched pass's value matrix,
         kept across passes.
 
-        A window pass's value matrix is its largest allocation.  Made
-        afresh, every pass pays a page fault per 4 KiB page on first
-        touch (about 15 ms per 25 MB on a 2-vCPU host), and, freed back
-        into the malloc heap at a size that varies from pass to pass, it
+        A pass's value matrix is its largest allocation.  Made afresh,
+        every pass pays a page fault per 4 KiB page on first touch
+        (about 15 ms per 25 MB on a 2-vCPU host), and, freed back into
+        the malloc heap at a size that varies from pass to pass, it
         fragments the heap: peak RSS rose 16% on p2_s1423_batched.  So
-        the simulator keeps one buffer, grown to its widest window pass,
-        for as long as it lives.  One-candidate passes allocate their
-        own: a pool's parent runs TS0's before it forks its workers,
-        which would each inherit a kept buffer.  Never pickled.
+        the simulator keeps one buffer, grown to its widest pass, for
+        as long as it lives; window passes and
+        :meth:`simulate_grouped`'s one-candidate passes share it.  A
+        pool worker drops the buffer it inherits from its parent
+        (:func:`repro.faults.pool._init_worker`) and grows its own.
+        Never pickled.
         """
         buf = getattr(self, "_vals_buf", None)
         if buf is None or len(buf) < n_words:
@@ -839,15 +869,27 @@ class FaultSimulator:
             raise ValueError("schedule length must equal test length")
 
     def _fault_free_reference(
-        self, test: ScanTest, policy: Optional[ObservationPolicy] = None
+        self,
+        test: ScanTest,
+        policy: ObservationPolicy,
+        launch: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> _FaultFreeRef:
+        """The fault-free machine's observations of ``test``.
+
+        With ``launch = (sig, value)`` it also marks each time unit ``u``
+        that launches fault ``i``'s transition (the classical two-frame
+        condition): signal ``sig[i]`` held ``value[i]`` at ``u - 1`` and
+        leaves it at ``u``.  Time unit 0 launches nothing.
+        """
         model = self.model
-        taps = (policy or ObservationPolicy()).tap_rows()
+        taps = policy.tap_rows()
         state = self._initial_state(test.si, n_words=1)
         vals = model.alloc(n_words=1)
         po_words: List[np.ndarray] = []
         scanout_words: List[np.ndarray] = []
         tap_words: List[np.ndarray] = []
+        if launch is not None:
+            site_bits = np.zeros((test.length, len(launch[0])), dtype=bool)
         for u, vector in enumerate(test.vectors):
             k, fill = test.step(u)
             if k > 0:
@@ -859,35 +901,45 @@ class FaultSimulator:
             vals[model.q_idx, :] = state
             model.eval(vals)
             po_words.append(vals[model.po_idx, 0].copy())
+            if launch is not None:
+                site_bits[u] = vals[launch[0], 0] != 0
             state = vals[model.d_idx, :].copy()
             if taps is not None:
                 tap_words.append(state[taps, 0].copy())
+        launches = None
+        if launch is not None:
+            stuck = launch[1] != 0
+            launches = np.zeros_like(site_bits)
+            launches[1:] = (site_bits[:-1] == stuck) & (site_bits[1:] != stuck)
         return _FaultFreeRef(
             po_words=po_words,
             scanout_words=scanout_words,
             final_state=state[self.chain].copy(),
             tap_words=tap_words,
+            launches=launches,
         )
 
     def _simulate_faulty(
         self,
         test: ScanTest,
-        groups: List[List[Fault]],
+        sig: np.ndarray,
+        value: np.ndarray,
         ref: _FaultFreeRef,
         policy: ObservationPolicy,
-    ) -> Dict[Tuple[int, int], Tuple[int, str]]:
-        """Run all fault groups through one test.
+    ) -> Dict[int, Tuple[int, str]]:
+        """Run every fault through one test, 64 to a word, injecting
+        fault ``i`` at every time unit or where ``ref.launches`` marks it.
 
-        Returns ``{(word, bit): (time_unit, where)}`` for first detections;
+        Returns ``{i: (time_unit, where)}`` for first detections;
         the final scan-out is reported with time unit ``test.length``.
         """
         model = self.model
         taps = policy.tap_rows()
-        n_words = len(groups)
-        sig, value = self._fault_signals([f for group in groups for f in group])
-        injections = Injections.build(
-            self._injection_entries(sig, value, 1), model.level_of_signal
-        )
+        n_faults = len(sig)
+        n_words = (n_faults + 63) // 64
+        entries = self._injection_entries(sig, value, 1)
+        if ref.launches is None:
+            injections = Injections.build(entries, model.level_of_signal)
 
         state = self._initial_state(test.si, n_words)
         # A fault on a flop's Q net must corrupt what the combinational
@@ -895,7 +947,7 @@ class FaultSimulator:
         # what injecting into `vals` (not `state`) does.
         vals = model.alloc(n_words)
         seen = np.zeros(n_words, dtype=np.uint64)
-        hits: Dict[Tuple[int, int], Tuple[int, str]] = {}
+        hits: Dict[int, Tuple[int, str]] = {}
 
         def record(diff_words: np.ndarray, u: int, where: str) -> None:
             nonlocal seen
@@ -906,9 +958,9 @@ class FaultSimulator:
                 bits = int(fresh[word])
                 while bits:
                     low = bits & -bits
-                    bit = low.bit_length() - 1
-                    if bit < len(groups[word]):
-                        hits[(word, bit)] = (u, where)
+                    pos = int(word) * 64 + low.bit_length() - 1
+                    if pos < n_faults:
+                        hits[pos] = (u, where)
                     bits ^= low
             seen |= fresh
 
@@ -919,6 +971,10 @@ class FaultSimulator:
                 if policy.limited_scan_out:
                     diff = out_words ^ ref.scanout_words[u][:, None]
                     record(np.bitwise_or.reduce(diff, axis=0), u, "limited-scan")
+            if ref.launches is not None:
+                injections = Injections.build(
+                    entries[ref.launches[u]], model.level_of_signal
+                )
             model.set_inputs_from_bits(vals, vector)
             vals[model.q_idx, :] = state
             model.eval(vals, injections=injections)

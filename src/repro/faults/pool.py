@@ -58,6 +58,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.fault_sim import (
     MAX_COLS,
+    WHERE_RANK,
     DetectionRecord,
     ObservationPolicy,
     ScanTest,
@@ -65,7 +66,6 @@ from repro.faults.fault_sim import (
 )
 from repro.faults.model import Fault
 from repro.faults.sharding import (
-    WHERE_RANK,
     RecoveryPolicy,
     arm_pdeathsig,
     available_cpu_count,
@@ -220,9 +220,16 @@ _SESSION: Optional[_Session] = None
 
 
 def _init_worker(session: _Session) -> None:
-    """Executor initializer: die with the parent, keep the session."""
+    """Executor initializer: die with the parent, keep the session.
+
+    A forked worker also inherits the value buffer its parent's
+    simulator kept from earlier passes
+    (:meth:`~repro.faults.fault_sim.FaultSimulator._value_buffer`).
+    It drops it: the worker's own passes size their own.
+    """
     global _SESSION
     arm_pdeathsig()
+    vars(session.simulator).pop("_vals_buf", None)
     _SESSION = session
 
 

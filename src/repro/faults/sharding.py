@@ -1,4 +1,4 @@
-"""Fault-list sharding primitives shared by the parallel back ends.
+"""Fault-list sharding and recovery primitives of the worker pool.
 
 The packed fault list (64 faults per ``uint64`` word) is split into
 word-aligned contiguous shards.  Faults are independent of each other in
@@ -16,23 +16,12 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.faults.model import Fault
-from repro.simulation.compiled import shard_word_ranges
 
 #: Faults per simulation word (bits of a uint64).
 WORD_BITS = 64
-
-#: Serial record order within one time unit: the limited-scan compare
-#: runs before the gate eval, primary outputs and state taps after it,
-#: and the final scan-out is a separate time unit.
-WHERE_RANK: Dict[str, int] = {
-    "limited-scan": 0,
-    "po": 1,
-    "state-tap": 2,
-    "scan-out": 3,
-}
 
 
 def available_cpu_count() -> int:
@@ -83,6 +72,32 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1 or -1, got {n_jobs}")
     return n_jobs
+
+
+def shard_word_ranges(n_words: int, n_shards: int) -> List[Tuple[int, int]]:
+    """Split ``n_words`` word-columns into balanced contiguous ranges.
+
+    Returns at most ``n_shards`` half-open ``(lo, hi)`` ranges covering
+    ``[0, n_words)``; empty ranges are dropped, so fewer shards than
+    requested come back when there is not enough work.  The persistent
+    worker pool shards its fault list with this so that every shard
+    boundary is word-aligned: a 64-fault word never straddles two
+    workers.
+    """
+    if n_words < 0:
+        raise ValueError(f"n_words must be non-negative, got {n_words}")
+    if n_shards < 1:
+        raise ValueError(f"n_shards must be positive, got {n_shards}")
+    n_shards = min(n_shards, n_words) or (1 if n_words else 0)
+    ranges: List[Tuple[int, int]] = []
+    base, extra = divmod(n_words, max(n_shards, 1))
+    lo = 0
+    for i in range(n_shards):
+        hi = lo + base + (1 if i < extra else 0)
+        if hi > lo:
+            ranges.append((lo, hi))
+        lo = hi
+    return ranges
 
 
 def shard_faults(faults: Sequence[Fault], n_shards: int) -> List[List[Fault]]:

@@ -12,7 +12,7 @@ transition fault model on top of the stuck-at machinery:
   value at cycle ``u-1`` and flips away at ``u``) and the resulting
   one-cycle stuck value propagates to an observation point -- at the
   primary outputs of cycle ``u`` or, through the captured state, to any
-  later observation (limited-scan-out bits, final scan-out).
+  later observation (state taps, limited-scan-out bits, final scan-out).
 
 Launch conditions are evaluated on the fault-free machine (the classical
 two-frame approximation); once launched, the fault effect propagates
@@ -24,19 +24,18 @@ single-vector ones -- exactly the paper's motivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.circuit.netlist import Circuit
 from repro.faults.fault_sim import (
     DetectionRecord,
+    FaultSimulator,
     ObservationPolicy,
     ScanTest,
 )
 from repro.faults.model import Fault, FaultGraph
-from repro.simulation.compiled import Injections
-from repro.simulation.scan import full_scan_state, limited_shift
 
 RISE = "rise"
 FALL = "fall"
@@ -100,19 +99,21 @@ def generate_transition_faults(circuit: Circuit) -> List[TransitionFault]:
 class TransitionFaultSimulator:
     """Parallel transition-fault simulation for full-scan tests.
 
-    Packs 64 faults per word like the stuck-at simulator.  Per functional
-    cycle, each fault's stuck value is injected only if the fault-free
-    machine launches the transition at that cycle; the injected effect
-    then propagates through the faulty machine's captured state.
+    Runs the stuck-at simulator's per-test loop, 64 faults per word.
+    Per functional cycle, each fault's stuck value is injected only if
+    the fault-free machine launches the transition at that cycle; the
+    injected effect then propagates through the faulty machine's
+    captured state to every observation point of the policy, state
+    taps included.
     """
 
     def __init__(self, circuit_or_graph: Union[Circuit, FaultGraph]) -> None:
-        if isinstance(circuit_or_graph, FaultGraph):
-            self.graph = circuit_or_graph
-        else:
-            self.graph = FaultGraph(circuit_or_graph)
-        self.model = self.graph.model
-        self._n_sv = len(self.model.q_idx)
+        # Held, not inherited: the stuck-at simulator's batched entry
+        # points (simulate_grouped, simulate_candidates) inject at every
+        # time unit and have no transition counterpart.
+        self._engine = FaultSimulator(circuit_or_graph)
+        self.graph = self._engine.graph
+        self.model = self._engine.model
 
     def simulate(
         self,
@@ -120,117 +121,12 @@ class TransitionFaultSimulator:
         faults: Sequence[TransitionFault],
         policy: Optional[ObservationPolicy] = None,
     ) -> Dict[TransitionFault, DetectionRecord]:
-        policy = policy or ObservationPolicy()
-        remaining = list(faults)
-        detected: Dict[TransitionFault, DetectionRecord] = {}
-        for t_idx, test in enumerate(tests):
-            if not remaining:
-                break
-            hits = self._simulate_test(test, remaining, policy)
-            for fault, (u, where) in hits.items():
-                detected[fault] = DetectionRecord(
-                    fault=fault, test_index=t_idx, time_unit=u, where=where
-                )
-            remaining = [f for f in remaining if f not in hits]
-        return detected
-
-    # ------------------------------------------------------------------
-    def _fault_free_pass(
-        self, test: ScanTest, site_rows: np.ndarray
-    ) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray, np.ndarray]:
-        """Reference run recording PO words, scan-out words, final state,
-        and the per-cycle values of every fault site (as bits)."""
-        model = self.model
-        state = full_scan_state(self._n_sv, test.si, 1)
-        vals = model.alloc(1)
-        po_words: List[np.ndarray] = []
-        scan_words: List[np.ndarray] = []
-        site_vals = np.zeros((test.length, len(site_rows)), dtype=bool)
-        for u, vector in enumerate(test.vectors):
-            k, fill = test.step(u)
-            if k > 0:
-                state, out = limited_shift(state, k, list(fill))
-                scan_words.append(out[:, 0].copy())
-            else:
-                scan_words.append(np.zeros(0, dtype=np.uint64))
-            model.set_inputs_from_bits(vals, vector)
-            vals[model.q_idx, :] = state
-            model.eval(vals)
-            po_words.append(vals[model.po_idx, 0].copy())
-            site_vals[u] = vals[site_rows, 0] != 0
-            state = vals[model.d_idx, :].copy()
-        return po_words, scan_words, state, site_vals
-
-    def _simulate_test(
-        self,
-        test: ScanTest,
-        faults: Sequence[TransitionFault],
-        policy: ObservationPolicy,
-    ) -> Dict[TransitionFault, Tuple[int, str]]:
-        model = self.model
-        sites = np.array(
-            [self.graph.signal_of(f.as_stuck_at()) for f in faults],
-            dtype=np.intp,
+        """Simulate ``tests`` in order with fault dropping; a record for
+        every detected fault, as :meth:`FaultSimulator.simulate`."""
+        faults = list(faults)
+        signal_of = self.graph.signal_of
+        sig = np.array([signal_of(f.as_stuck_at()) for f in faults], dtype=np.intp)
+        value = np.array([f.stuck_value for f in faults], dtype=np.intp)
+        return self._engine._simulate_tests(
+            tests, faults, sig, value, policy, launch_only=True
         )
-        stuck = np.array([f.stuck_value for f in faults], dtype=bool)
-        po_ref, scan_ref, final_ref, site_vals = self._fault_free_pass(
-            test, sites
-        )
-
-        n_words = (len(faults) + 63) // 64
-        state = full_scan_state(self._n_sv, test.si, n_words)
-        vals = model.alloc(n_words)
-        seen = np.zeros(n_words, dtype=np.uint64)
-        hits: Dict[TransitionFault, Tuple[int, str]] = {}
-
-        def record(diff: np.ndarray, u: int, where: str) -> None:
-            nonlocal seen
-            fresh = diff & ~seen
-            if not fresh.any():
-                return
-            for word in np.flatnonzero(fresh):
-                bits = int(fresh[word])
-                while bits:
-                    low = bits & -bits
-                    idx = word * 64 + (low.bit_length() - 1)
-                    if idx < len(faults):
-                        hits[faults[idx]] = (u, where)
-                    bits ^= low
-            seen |= fresh
-
-        for u, vector in enumerate(test.vectors):
-            k, fill = test.step(u)
-            if k > 0:
-                state, out = limited_shift(state, k, list(fill))
-                if policy.limited_scan_out:
-                    diff = out ^ scan_ref[u][:, None]
-                    record(np.bitwise_or.reduce(diff, axis=0), u, "limited-scan")
-            # Launch condition from the fault-free machine: the site held
-            # the stuck value at u-1 and flips away at u.
-            if u == 0:
-                launched = np.zeros(len(faults), dtype=bool)
-            else:
-                launched = (site_vals[u - 1] == stuck) & (
-                    site_vals[u] != stuck
-                )
-            entries = [
-                (int(sites[i]), i // 64, i % 64, int(stuck[i]))
-                for i in np.flatnonzero(launched)
-            ]
-            injections = (
-                Injections.build(entries, model.level_of_signal)
-                if entries
-                else None
-            )
-            model.set_inputs_from_bits(vals, vector)
-            vals[model.q_idx, :] = state
-            model.eval(vals, injections=injections)
-            if policy.primary_outputs and len(model.po_idx):
-                diff = vals[model.po_idx, :] ^ po_ref[u][:, None]
-                record(np.bitwise_or.reduce(diff, axis=0), u, "po")
-            state = vals[model.d_idx, :].copy()
-
-        if policy.final_scan_out and self._n_sv:
-            diff = state ^ final_ref
-            record(np.bitwise_or.reduce(diff, axis=0), test.length, "scan-out")
-        return hits

@@ -41,32 +41,6 @@ from repro.circuit.netlist import Circuit, NetlistArrays, circuit_from_arrays
 from repro.circuit.transform import decompose_to_two_input
 
 
-def shard_word_ranges(n_words: int, n_shards: int) -> List[Tuple[int, int]]:
-    """Split ``n_words`` word-columns into balanced contiguous ranges.
-
-    Returns at most ``n_shards`` half-open ``(lo, hi)`` ranges covering
-    ``[0, n_words)``; empty ranges are dropped, so fewer shards than
-    requested come back when there is not enough work.  The persistent
-    worker pool shards its fault list with this so that every shard
-    boundary is word-aligned: a 64-fault word never straddles two
-    workers.
-    """
-    if n_words < 0:
-        raise ValueError(f"n_words must be non-negative, got {n_words}")
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be positive, got {n_shards}")
-    n_shards = min(n_shards, n_words) or (1 if n_words else 0)
-    ranges: List[Tuple[int, int]] = []
-    base, extra = divmod(n_words, max(n_shards, 1))
-    lo = 0
-    for i in range(n_shards):
-        hi = lo + base + (1 if i < extra else 0)
-        if hi > lo:
-            ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
 @dataclass
 class Injections:
     """Stuck-value forcing, grouped by the level at which each signal is set.

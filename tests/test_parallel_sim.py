@@ -28,8 +28,7 @@ from repro.faults import pool as pool_mod
 from repro.faults.collapse import collapse_faults
 from repro.faults.fault_sim import FaultSimulator, ObservationPolicy
 from repro.faults.pool import CandidateEvaluator
-from repro.faults.sharding import resolve_n_jobs, shard_faults
-from repro.simulation.compiled import shard_word_ranges
+from repro.faults.sharding import resolve_n_jobs, shard_faults, shard_word_ranges
 
 #: Small TS0 shape shared by the pool cases below.
 CFG = BistConfig(la=4, lb=8, n=4)
@@ -336,6 +335,42 @@ class TestForkInheritance:
             ev.evaluate_specs(SPECS, faults)
         assert pool_submits.count > 0
         assert counts["n"] == 0
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only forked workers inherit the parent's memory",
+    )
+    def test_workers_drop_the_inherited_value_buffer(
+        self, medium_synth, monkeypatch, pool_submits
+    ):
+        """The parent keeps a value buffer from its own passes; a worker
+        forked after them holds none before its first pass.  A probe in
+        each worker's first scoring call raises if it finds one, which
+        would show up as a degradation event."""
+        parent = os.getpid()
+        probed = []  # per process: forked workers append to their copy
+        rows = pool_mod._Session.rows
+
+        def probing(self, specs, faults):
+            if os.getpid() != parent and not probed:
+                probed.append(True)
+                if getattr(self.simulator, "_vals_buf", None) is not None:
+                    raise RuntimeError("worker inherited a value buffer")
+            return rows(self, specs, faults)
+
+        monkeypatch.setattr(pool_mod._Session, "rows", probing)
+        faults = collapse_faults(medium_synth)
+        with make_evaluator(medium_synth, faults) as ev:
+            sim = ev._session.simulator
+            sim.simulate_grouped(ev._session.ts0, faults)
+            assert sim._vals_buf is not None
+            tables = ev.evaluate_specs(SPECS, faults)
+            assert not ev.degradation.events
+        assert pool_submits.count > 0
+        for spec, table in zip(SPECS, tables):
+            assert table.hits_for(faults) == serial_hits(
+                medium_synth, spec, faults
+            )
 
     def test_unused_pool_never_forks(self, s27, monkeypatch):
         """s27's one fault word cannot be split: no worker is started."""

@@ -64,6 +64,23 @@ class TestDetection:
         t_rise = ScanTest(si=[0, 0], vectors=[[0], [1], [1]])
         assert fault in sim.simulate([t_rise], [fault])
 
+    def test_state_taps_observe(self):
+        """A tap on the first flop sees the late rise the cycle it is
+        captured, with every other observation point off."""
+        sim = TransitionFaultSimulator(pipeline_circuit())
+        fault = TransitionFault(site="a", edge=RISE)
+        test = ScanTest(si=[0, 0], vectors=[[0], [1], [1]])
+        policy = ObservationPolicy(
+            primary_outputs=False,
+            limited_scan_out=False,
+            final_scan_out=False,
+            state_taps=[0],
+        )
+        records = sim.simulate([test], [fault], policy)
+        assert [
+            (r.test_index, r.time_unit, r.where) for r in records.values()
+        ] == [(0, 1, "state-tap")]
+
     def test_fall_symmetry(self):
         c = pipeline_circuit()
         sim = TransitionFaultSimulator(c)
