@@ -134,7 +134,7 @@ class _ResumeState:
     """Replayed journal state handed to the Procedure 2 loop."""
 
     result: Procedure2Result
-    remaining: List[Fault]
+    remaining: List[int]  # ascending target positions
     iteration: int
     n_same_fc: int
     ts0_done: bool
@@ -157,14 +157,6 @@ def _lint_gate(circuit: Circuit, config: BistConfig) -> None:
         )
 
 
-def _recovery_from_config(config: BistConfig) -> RecoveryPolicy:
-    return RecoveryPolicy(
-        shard_timeout=config.shard_timeout,
-        max_retries=config.shard_retries,
-        seed=config.base_seed,
-    )
-
-
 def _journal_header(
     circuit: Circuit,
     config: BistConfig,
@@ -184,14 +176,40 @@ def _journal_header(
     }
 
 
-def _detection_rows(
-    hits: Dict[Fault, DetectionRecord], positions: Dict[Fault, int]
-) -> List[List[Any]]:
+def _detection_rows(hits: Dict[int, DetectionRecord]) -> List[List[Any]]:
     """Detection records as compact journal rows, in detection order."""
     return [
-        [positions[f], rec.test_index, rec.time_unit, rec.where]
-        for f, rec in hits.items()
+        [pos, rec.test_index, rec.time_unit, rec.where]
+        for pos, rec in hits.items()
     ]
+
+
+def _evaluator(
+    circuit: Circuit,
+    config: BistConfig,
+    target_faults: List[Fault],
+    simulator: FaultSimulator,
+    policy: Optional[ObservationPolicy],
+    ts0: Optional[List[ScanTest]],
+) -> CandidateEvaluator:
+    """The run's candidate evaluator.  Raises ``ValueError`` if a target
+    fault is repeated: the run names every fault by its position."""
+    # Under partial scan the chain length plays the role of N_SV in both
+    # the cost model and Procedure 1's D2; under full scan they coincide.
+    return CandidateEvaluator(
+        simulator,
+        ts0 if ts0 is not None else generate_ts0(circuit, config),
+        config,
+        simulator.chain_length,
+        policy,
+        n_jobs=config.n_jobs,
+        targets=target_faults,
+        recovery=RecoveryPolicy(
+            shard_timeout=config.shard_timeout,
+            max_retries=config.shard_retries,
+            seed=config.base_seed,
+        ),
+    )
 
 
 def run_procedure2(
@@ -208,18 +226,20 @@ def run_procedure2(
     ``target_faults`` should be the *detectable* collapsed faults (from
     :func:`repro.atpg.classify_faults`); including undetectable faults
     simply makes 100% coverage unreachable, which is reported as an
-    incomplete run, never an error.
+    incomplete run, never an error.  The targets must be distinct: a
+    repeated fault raises ``ValueError`` before any journal is written.
 
     ``config.n_jobs`` shards the fault list across worker processes.
     With ``n_jobs > 1`` one :class:`~repro.faults.pool.PersistentWorkerPool`
-    lives for the whole run: its workers inherit the compiled circuit and target faults when
-    they fork, and each dispatch ships only shard indices plus pattern
-    seeds.  A dispatch too small to pay for a worker round trip runs in
-    the parent.  ``config.candidate_batch`` additionally scores that
-    many candidate ``(I, D1)`` test sets per dispatch in one fanned-out
-    pass.  Results are byte-identical to the serial run for any
-    combination of these knobs; worker failures are recovered shard by
-    shard and recorded on ``result.degradation``.
+    lives for the whole run: its workers inherit the compiled circuit
+    and target faults when they fork, and each dispatch ships only the
+    shard's target positions plus pattern seeds.  A dispatch too small
+    to pay for a worker round trip runs in the parent.
+    ``config.candidate_batch`` additionally scores that many candidate
+    ``(I, D1)`` test sets per dispatch in one fanned-out pass.  Results
+    are byte-identical to the serial run for any combination of these
+    knobs; worker failures are recovered shard by shard and recorded on
+    ``result.degradation``.
 
     ``config.candidate_bias == 'testability'`` reorders the D1 stream
     around the COP scan-benefit pivot before the loop starts (see
@@ -241,19 +261,22 @@ def run_procedure2(
     _lint_gate(circuit, config)
     target_faults = list(target_faults)
     simulator = simulator or FaultSimulator(circuit)
-    writer = None
-    if checkpoint is not None:
-        from repro.robustness.checkpoint import CheckpointWriter
+    with _evaluator(
+        circuit, config, target_faults, simulator, policy, ts0
+    ) as evaluator:
+        writer = None
+        if checkpoint is not None:
+            from repro.robustness.checkpoint import CheckpointWriter
 
-        writer = CheckpointWriter(
-            checkpoint,
-            header=_journal_header(
-                circuit, config, simulator.chain_length, target_faults
-            ),
+            writer = CheckpointWriter(
+                checkpoint,
+                header=_journal_header(
+                    circuit, config, evaluator.n_sv, target_faults
+                ),
+            )
+        return _procedure2_loop(
+            circuit, config, target_faults, evaluator, writer=writer
         )
-    return _run_procedure2_body(
-        circuit, config, target_faults, simulator, policy, ts0, writer=writer
-    )
 
 
 def resume_procedure2(
@@ -279,8 +302,9 @@ def resume_procedure2(
     journal is missing or unreadable, and
     :class:`~repro.robustness.checkpoint.CheckpointMismatchError` if it
     was written for a different circuit, config, or target-fault list.
-    ``config.n_jobs`` is not part of the journal header, so it may
-    freely differ from the original run.
+    A repeated target fault raises ``ValueError`` before the journal is
+    healed or appended to.  ``config.n_jobs`` is not part of the journal
+    header, so it may freely differ from the original run.
     """
     from repro.robustness import journal
     from repro.robustness.checkpoint import (
@@ -340,15 +364,13 @@ def resume_procedure2(
         )
         for p in state.pairs
     ]
-    remaining = [
-        f for i, f in enumerate(target_faults) if i not in detected
-    ]
+    remaining = [i for i in range(len(target_faults)) if i not in detected]
     iteration, n_same_fc = state.cursor
 
     if state.final is not None:
         result.complete = state.final["complete"]
         result.iterations_run = state.final["iterations_run"]
-        result.remaining_faults = remaining
+        result.remaining_faults = [target_faults[i] for i in remaining]
         return result
 
     # ---- continue the run ---------------------------------------------
@@ -365,32 +387,38 @@ def resume_procedure2(
         n_same_fc=n_same_fc,
         ts0_done=state.ts0 is not None,
     )
-    # Appending behind a torn tail would strand every later commit,
-    # final record included, where no reader can reach it.
-    journal.heal(checkpoint, state.committed_bytes)
-    return _run_procedure2_body(
-        circuit,
-        config,
-        target_faults,
-        simulator,
-        policy,
-        ts0,
-        writer=CheckpointWriter(checkpoint),  # append to the healed journal
-        start=start,
-    )
+    with _evaluator(
+        circuit, config, target_faults, simulator, policy, ts0
+    ) as evaluator:
+        # Appending behind a torn tail would strand every later commit,
+        # final record included, where no reader can reach it.
+        journal.heal(checkpoint, state.committed_bytes)
+        return _procedure2_loop(
+            circuit,
+            config,
+            target_faults,
+            evaluator,
+            writer=CheckpointWriter(checkpoint),  # append to the healed journal
+            start=start,
+        )
 
 
-def _run_procedure2_body(
+def _procedure2_loop(
     circuit: Circuit,
     config: BistConfig,
-    target_faults: Sequence[Fault],
-    simulator: FaultSimulator,
-    policy: Optional[ObservationPolicy],
-    ts0: Optional[List[ScanTest]],
+    target_faults: List[Fault],
+    evaluator: CandidateEvaluator,
     writer: Optional["CheckpointWriter"] = None,
     start: Optional[_ResumeState] = None,
 ) -> Procedure2Result:
-    ts0 = ts0 if ts0 is not None else generate_ts0(circuit, config)
+    """The greedy loop.  Between candidates its one piece of state is
+    ``remaining``: the ascending positions in ``target_faults`` of the
+    faults not yet detected."""
+    # The D1 preference order for the candidate stream: config order for
+    # uniform search, or the testability-pivoted reordering.  Selection
+    # semantics are order-agnostic -- every D1 that detects something
+    # new is kept either way -- but trying effective depths first
+    # absorbs faults early and stores fewer pairs.
     d1_values = tuple(config.d1_values)
     if config.candidate_bias == "testability":
         from repro.analysis.cop import testability_d1_order
@@ -401,65 +429,12 @@ def _run_procedure2_body(
         d1_values = testability_d1_order(
             circuit, d1_values, target_faults=target_faults
         )
-    # Under partial scan the chain length plays the role of N_SV in both
-    # the cost model and Procedure 1's D2; under full scan they coincide.
-    n_sv = simulator.chain_length
-    positions = (
-        {f: i for i, f in enumerate(target_faults)} if writer else None
-    )
-    evaluator = CandidateEvaluator(
-        simulator,
-        ts0,
-        config,
-        n_sv,
-        policy,
-        n_jobs=config.n_jobs,
-        targets=target_faults,
-        recovery=_recovery_from_config(config),
-    )
-    try:
-        return _procedure2_loop(
-            circuit, config, target_faults, evaluator, positions,
-            writer=writer, start=start, d1_values=d1_values,
-        )
-    finally:
-        evaluator.close()
-
-
-def _procedure2_loop(
-    circuit: Circuit,
-    config: BistConfig,
-    target_faults: Sequence[Fault],
-    evaluator: CandidateEvaluator,
-    positions: Optional[Dict[Fault, int]],
-    writer: Optional["CheckpointWriter"] = None,
-    start: Optional[_ResumeState] = None,
-    d1_values: Optional[Sequence[int]] = None,
-) -> Procedure2Result:
-    # The D1 preference order for the candidate stream: config order for
-    # uniform search, or the testability-pivoted reordering computed by
-    # the body.  Selection semantics are order-agnostic -- every D1 that
-    # detects something new is kept either way -- but trying effective
-    # depths first absorbs faults early and stores fewer pairs.
-    d1_values = tuple(d1_values if d1_values is not None else config.d1_values)
-    def finish(res: Procedure2Result) -> Procedure2Result:
-        if evaluator.degradation.degraded:
-            res.degradation = evaluator.degradation
-        return res
 
     if start is not None and start.ts0_done:
         result = start.result
         remaining = start.remaining
         iteration = start.iteration
         n_same_fc = start.n_same_fc
-        if not remaining:
-            # Journaled to 100% coverage but killed before the final
-            # record: only the bookkeeping is left to redo.
-            result.complete = True
-            result.iterations_run = iteration
-            if writer:
-                writer.write_final(True, iteration)
-            return finish(result)
     else:
         result = Procedure2Result(
             circuit_name=circuit.name,
@@ -468,18 +443,13 @@ def _procedure2_loop(
             num_targets=len(target_faults),
             candidate_bias=config.candidate_bias,
         )
-        remaining = list(target_faults)
+        remaining = list(range(len(target_faults)))
         ts0_hits = evaluator.evaluate_ts0(remaining).hits_for(remaining)
-        result.detections.update(ts0_hits)
+        result.detections.update((r.fault, r) for r in ts0_hits.values())
         result.ts0_detected = len(ts0_hits)
-        remaining = [f for f in remaining if f not in ts0_hits]
+        remaining = [i for i in remaining if i not in ts0_hits]
         if writer:
-            writer.write_ts0(_detection_rows(ts0_hits, positions))
-        if not remaining:
-            result.complete = True
-            if writer:
-                writer.write_final(True, 0)
-            return finish(result)
+            writer.write_ts0(_detection_rows(ts0_hits))
         iteration = 0
         n_same_fc = 0
 
@@ -506,7 +476,13 @@ def _procedure2_loop(
     pos = 0  # next spec to dispatch; specs are consumed in list order
     n_d1 = len(d1_values)
     prefetched: Dict[Any, Any] = {}
-    while n_same_fc < config.n_same_fc and iteration < config.max_iterations:
+    # An empty ``remaining`` (TS0 detected everything, or a resumed run
+    # had committed it) leaves only the final bookkeeping.
+    while (
+        remaining
+        and n_same_fc < config.n_same_fc
+        and iteration < config.max_iterations
+    ):
         iteration += 1
         improved = False
         journal_pairs: List[Dict[str, Any]] = []
@@ -526,7 +502,7 @@ def _procedure2_loop(
             hits = table.hits_for(remaining)
             if hits:
                 ts = table.tests
-                result.detections.update(hits)
+                result.detections.update((r.fault, r) for r in hits.values())
                 pair = PairResult(
                     iteration=iteration,
                     d1=d1,
@@ -545,10 +521,10 @@ def _procedure2_loop(
                             "nsh": pair.nsh,
                             "ls_time_units": pair.ls_time_units,
                             "total_time_units": pair.total_time_units,
-                            "detected": _detection_rows(hits, positions),
+                            "detected": _detection_rows(hits),
                         }
                     )
-                remaining = [f for f in remaining if f not in hits]
+                remaining = [i for i in remaining if i not in hits]
                 improved = True
             if not remaining:
                 break
@@ -558,13 +534,13 @@ def _procedure2_loop(
             # in a single fsync'd append, so a crash can never journal a
             # half-iteration.
             writer.commit_iteration(iteration, n_same_fc_next, journal_pairs)
-        if not remaining:
-            break
         n_same_fc = n_same_fc_next
 
     result.iterations_run = iteration
-    result.remaining_faults = remaining
+    result.remaining_faults = [target_faults[i] for i in remaining]
     result.complete = not remaining
     if writer:
         writer.write_final(result.complete, iteration)
-    return finish(result)
+    if evaluator.degradation.degraded:
+        result.degradation = evaluator.degradation
+    return result

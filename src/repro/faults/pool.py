@@ -13,10 +13,11 @@ is scored by its :meth:`~_Session.rows`, in whichever process holds it:
   respawned worker inherits it again.  (Under ``spawn`` or
   ``forkserver`` the initializer arguments are serialized once per
   worker start; results are the same.)
-- **Seed-only dispatch.**  A dispatch ships candidate specs
-  (``(iteration, d1)`` pairs) plus the shard's fault *indices* into the
-  session's target list -- a few hundred bytes.  Each process rebuilds
-  every candidate ``TS(I, D1)`` deterministically from ``seed(I)``
+- **Seed-only dispatch.**  Procedure 2 names every fault by its
+  position in the session's target list, so a dispatch ships candidate
+  specs (``(iteration, d1)`` pairs) plus the shard's slice of target
+  positions -- a few hundred bytes.  Each process rebuilds every
+  candidate ``TS(I, D1)`` deterministically from ``seed(I)``
   (Procedure 1 is pure), through one bounded cache per session.
 - **Batched candidate evaluation.**  A whole batch of ``(I, D1)``
   candidates is scored in one fanned-out pass
@@ -25,8 +26,8 @@ is scored by its :meth:`~_Session.rows`, in whichever process holds it:
   the batch.  The pass returns raw first-detection rows against the
   dispatch-time remaining list; because per-fault records are
   independent of which other faults are simulated, the **exact** serial
-  result -- dict contents and insertion order -- for each candidate
-  against its *then-current* remaining list is reconstructed without
+  result -- contents and insertion order -- for each candidate against
+  its *then-current* remaining list is reconstructed without
   re-simulation (:func:`reconstruct_hits`).  Speculation is therefore
   free of result drift: outputs are byte-identical to the serial loop
   for any ``candidate_batch`` and any ``n_jobs``.
@@ -76,8 +77,10 @@ from repro.robustness.chaos import ChaosPlan, execute_injected
 from repro.robustness.degradation import DegradationReport
 
 #: A raw first-detection row:
-#: ``(fault, batch_rank, test_index, time_unit, where)``.
-DetectionRow = Tuple[Fault, int, int, int, str]
+#: ``(position, batch_rank, test_index, time_unit, where)``.  A worker's
+#: row names its fault by the fault's index in the shard it was sent;
+#: the merge turns that into the fault's position in the target list.
+DetectionRow = Tuple[int, int, int, int, str]
 
 #: One candidate test set by seed: ``(iteration, d1)``; ``d1 is None``
 #: denotes ``TS0`` itself.  Procedure 2's candidate sequence is fully
@@ -103,52 +106,48 @@ _MIN_SHARD_CELLS = 1 << 20
 
 def reconstruct_hits(
     rows: Sequence[DetectionRow],
-    order: Dict[Fault, int],
-    remaining: Sequence[Fault],
-) -> Dict[Fault, DetectionRecord]:
+    targets: Sequence[Fault],
+    remaining: Sequence[int],
+) -> Dict[int, DetectionRecord]:
     """The exact serial ``simulate_grouped`` result from raw rows.
 
     ``rows`` are first detections of one candidate against the
-    dispatch-time fault list; ``order`` maps every dispatch-time fault to
-    its position in that list; ``remaining`` is the (ordered) subset the
-    serial call would have been given.  Returns a dict equal to the
-    serial result in both content and insertion order:
+    dispatch-time fault list, each naming its fault by target position;
+    ``remaining`` is the ascending list of target positions the serial
+    call would have been given.  Returns the serial result keyed by
+    target position, equal in content and insertion order:
 
     - per fault, the governing row is the one with the smallest
       ``batch_rank`` (serial processes test-shape batches in first
       appearance order with fault dropping in between);
-    - insertion order is batch rank ascending, then
-      ``(time_unit, WHERE_RANK, position)`` -- the serial recorder's
-      call order and its word/bit ascending scan.  Position in the
-      dispatch-time list orders identically to position in any of its
-      ordered subsets, so one ``order`` map serves every ``remaining``.
+    - insertion order is ``(batch_rank, time_unit, WHERE_RANK,
+      position)`` -- the serial recorder's call order and its word/bit
+      ascending scan.  Every list Procedure 2 simulates is an ascending
+      subset of the targets, so target position orders the faults
+      exactly as their position in that list does.
 
-    Keys and ``DetectionRecord.fault`` are the *caller's* fault objects
-    (those in ``remaining``), not merely equal ones: serial results
-    alias each fault once (key and record share the object), and a
-    byte-level serializer sees aliasing -- without interning, a pooled
-    result serializes differently from a byte-identical serial one even
-    though every comparison by value passes.
+    Each record's fault is ``targets[position]``, the caller's own
+    object: serial results alias each fault once, and a byte-level
+    serializer sees aliasing.
     """
-    canon = {fault: fault for fault in remaining}
-    best: Dict[Fault, DetectionRow] = {}
+    live = set(remaining)
+    best: Dict[int, DetectionRow] = {}
     for row in rows:
-        fault = row[0]
-        if fault in canon and (fault not in best or row[1] < best[fault][1]):
-            best[fault] = row
-    hits: Dict[Fault, DetectionRecord] = {}
-    for rank in sorted({row[1] for row in best.values()}):
-        batch = [row for row in best.values() if row[1] == rank]
-        batch.sort(key=lambda r: (r[3], WHERE_RANK[r[4]], order[r[0]]))
-        for fault, _rank, test_index, time_unit, where in batch:
-            fault = canon[fault]
-            hits[fault] = DetectionRecord(
-                fault=fault,
-                test_index=test_index,
-                time_unit=time_unit,
-                where=where,
-            )
-    return hits
+        pos = row[0]
+        if pos in live and (pos not in best or row[1] < best[pos][1]):
+            best[pos] = row
+    ordered = sorted(
+        best.values(), key=lambda r: (r[1], r[3], WHERE_RANK[r[4]], r[0])
+    )
+    return {
+        pos: DetectionRecord(
+            fault=targets[pos],
+            test_index=test_index,
+            time_unit=time_unit,
+            where=where,
+        )
+        for pos, _rank, test_index, time_unit, where in ordered
+    }
 
 
 class _Session:
@@ -157,6 +156,9 @@ class _Session:
     The parent scores single-shard dispatches and serial rescues with
     it; pool workers receive it once through the executor's initializer
     (:func:`_init_worker`) and score every shard they are sent with it.
+
+    A fault is named by its position in ``targets``, so the targets must
+    be distinct (``ValueError`` otherwise); ``position`` maps it back.
     """
 
     def __init__(
@@ -174,6 +176,14 @@ class _Session:
         self.n_sv = n_sv
         self.policy = policy
         self.targets = list(targets)
+        self.position = {fault: i for i, fault in enumerate(self.targets)}
+        if len(self.position) < len(self.targets):
+            repeated = next(
+                f for i, f in enumerate(self.targets) if self.position[f] != i
+            )
+            raise ValueError(
+                f"target faults must be distinct; {repeated} is repeated"
+            )
         self._tests: Dict[CandidateSpec, List[ScanTest]] = {}
 
     def tests_for(self, spec: CandidateSpec) -> List[ScanTest]:
@@ -194,15 +204,18 @@ class _Session:
         return self._tests[spec]
 
     def rows(
-        self, specs: Sequence[CandidateSpec], faults: Sequence[Fault]
+        self, specs: Sequence[CandidateSpec], positions: Sequence[int]
     ) -> List[List[tuple]]:
-        """Each spec's raw first-detection rows against ``faults``.
+        """Each spec's raw first-detection rows against the targets at
+        ``positions``.
 
-        Rows name a fault by its position in ``faults``; see
+        Rows name a fault by its index in ``positions``; see
         :meth:`~repro.faults.fault_sim.FaultSimulator.simulate_candidates`.
         """
         rows = self.simulator.simulate_candidates(
-            [self.tests_for(spec) for spec in specs], faults, self.policy
+            [self.tests_for(spec) for spec in specs],
+            [self.targets[p] for p in positions],
+            self.policy,
         )
         if rows is None:  # pragma: no cover - callers pre-check compatibility
             raise RuntimeError(
@@ -235,14 +248,13 @@ def _init_worker(session: _Session) -> None:
 
 def _worker_rows(
     specs: Tuple[CandidateSpec, ...],
-    fault_indices: Tuple[int, ...],
+    positions: List[int],
     inject: Optional[str],
     hang_seconds: float,
 ) -> List[List[tuple]]:
     session = _SESSION
-    faults = [session.targets[j] for j in fault_indices]
     return execute_injected(
-        inject, hang_seconds, lambda: session.rows(specs, faults)
+        inject, hang_seconds, lambda: session.rows(specs, positions)
     )
 
 
@@ -279,12 +291,12 @@ class PersistentWorkerPool:
     def submit(
         self,
         specs: Tuple[CandidateSpec, ...],
-        fault_indices: Tuple[int, ...],
+        positions: List[int],
         inject: Optional[str],
         hang_seconds: float,
     ) -> Future:
         return self._ensure_executor().submit(
-            _worker_rows, specs, fault_indices, inject, hang_seconds
+            _worker_rows, specs, positions, inject, hang_seconds
         )
 
     def kill(self) -> None:
@@ -301,8 +313,16 @@ class PersistentWorkerPool:
             self._executor = None
 
 
-def _valid_rows(payload: Any, n_candidates: int, shard_size: int) -> bool:
-    """Sanity-check a worker's rows before trusting them in the merge."""
+def _valid_rows(
+    payload: Any, n_candidates: int, shard_size: int, n_tests: int, max_length: int
+) -> bool:
+    """Sanity-check a worker's rows before trusting them in the merge.
+
+    Every field is bounded: the fault index by the shard, the batch rank
+    and the test index by the ``n_tests`` tests of every candidate, and
+    the time unit by the longest test's ``max_length`` (the final
+    scan-out is recorded at ``u = length``).
+    """
     if not isinstance(payload, list) or len(payload) != n_candidates:
         return False
     for cand_rows in payload:
@@ -313,16 +333,17 @@ def _valid_rows(payload: Any, n_candidates: int, shard_size: int) -> bool:
                 return False
             fault_pos, batch_rank, test_index, time_unit, where = row
             if not (
-                isinstance(fault_pos, int) and 0 <= fault_pos < shard_size
-            ):
-                return False
-            if not (
-                isinstance(batch_rank, int)
+                isinstance(fault_pos, int)
+                and isinstance(batch_rank, int)
                 and isinstance(test_index, int)
                 and isinstance(time_unit, int)
+                and 0 <= fault_pos < shard_size
+                and 0 <= batch_rank < n_tests
+                and 0 <= test_index < n_tests
+                and 0 <= time_unit <= max_length
+                and isinstance(where, str)
+                and where in WHERE_RANK
             ):
-                return False
-            if where not in WHERE_RANK:
                 return False
     return True
 
@@ -352,20 +373,21 @@ class LazyTable(_Table):
     Used for a single candidate that runs in the parent and whenever the
     batched pass's exactness preconditions fail.  One :meth:`hits_for`
     call issues exactly one ``simulate_grouped`` call, so dispatch
-    counts match the one-candidate-at-a-time loop precisely.
+    counts match the one-candidate-at-a-time loop precisely; the
+    session's ``position`` map keys the hits it returns.
     """
 
-    def hits_for(
-        self, remaining: Sequence[Fault]
-    ) -> Dict[Fault, DetectionRecord]:
+    def hits_for(self, remaining: Sequence[int]) -> Dict[int, DetectionRecord]:
         session = self.session
-        return session.simulator.simulate_grouped(
-            self.tests, list(remaining), session.policy
+        targets, position = session.targets, session.position
+        hits = session.simulator.simulate_grouped(
+            self.tests, [targets[p] for p in remaining], session.policy
         )
+        return {position[fault]: rec for fault, rec in hits.items()}
 
 
 class ReconTable(_Table):
-    """Per-candidate raw rows plus the reconstruction order map.
+    """Per-candidate raw rows, keyed by target position.
 
     Holds one candidate's first-detection rows against the
     dispatch-time fault list; :meth:`hits_for` reconstructs the exact
@@ -374,20 +396,13 @@ class ReconTable(_Table):
     """
 
     def __init__(
-        self,
-        rows: List[DetectionRow],
-        order: Dict[Fault, int],
-        session: _Session,
-        spec: CandidateSpec,
+        self, rows: List[DetectionRow], session: _Session, spec: CandidateSpec
     ) -> None:
         super().__init__(session, spec)
         self.rows = rows
-        self.order = order
 
-    def hits_for(
-        self, remaining: Sequence[Fault]
-    ) -> Dict[Fault, DetectionRecord]:
-        return reconstruct_hits(self.rows, self.order, remaining)
+    def hits_for(self, remaining: Sequence[int]) -> Dict[int, DetectionRecord]:
+        return reconstruct_hits(self.rows, self.session.targets, remaining)
 
 
 class CandidateEvaluator:
@@ -398,7 +413,9 @@ class CandidateEvaluator:
     :meth:`evaluate_specs`) and receives result *tables*; consuming a
     table against the then-current remaining list yields exactly what a
     serial ``simulate_grouped`` call would have -- whichever route
-    produced it.  A dispatch splits its fault list into shards
+    produced it -- keyed by target position.  Faults go in and come out
+    as positions in ``targets``, which must be distinct (``ValueError``
+    otherwise).  A dispatch splits its fault list into shards
     (:meth:`_shard_count`), then takes one of three routes:
 
     - one shard and one candidate, or a window that fails the exactness
@@ -436,9 +453,9 @@ class CandidateEvaluator:
         self._use_pool = self.n_jobs > 1
         self._pool: Optional[PersistentWorkerPool] = None
         self._pool_unavailable = False
-        self._target_pos = {f: i for i, f in enumerate(self._session.targets)}
         self._dispatches = 0
         self._ts0_partition = simulator.candidate_partition(self._session.ts0)
+        self._max_length = max((t.length for t in self._session.ts0), default=0)
 
     @property
     def batch(self) -> int:
@@ -469,23 +486,25 @@ class CandidateEvaluator:
         return session.simulator.candidates_compatible(test_sets, n_faults)
 
     # ------------------------------------------------------------------
-    def evaluate_ts0(self, remaining: Sequence[Fault]) -> Any:
+    def evaluate_ts0(self, remaining: Sequence[int]) -> Any:
         """One table for the initial test set."""
         return self.evaluate_specs([(0, None)], remaining)[0]
 
     def evaluate_specs(
         self,
         specs: Sequence[CandidateSpec],
-        remaining: Sequence[Fault],
+        remaining: Sequence[int],
     ) -> List[Any]:
         """One table per candidate spec, in ``specs`` order.
 
-        Specs may span iteration boundaries: Procedure 2's candidate
-        sequence is deterministic, so the loop streams it in
-        ``self.batch``-sized windows and consumes the tables against
-        whatever the remaining list has shrunk to by then --
-        :func:`reconstruct_hits` keeps that exact.  Each table carries
-        its candidate's test set on ``.tests`` (built on demand).
+        ``remaining`` is an ascending list of target positions, and a
+        table's ``hits_for`` takes and returns positions too.  Specs may
+        span iteration boundaries: Procedure 2's candidate sequence is
+        deterministic, so the loop streams it in ``self.batch``-sized
+        windows and consumes the tables against whatever the remaining
+        list has shrunk to by then -- :func:`reconstruct_hits` keeps
+        that exact.  Each table carries its candidate's test set on
+        ``.tests`` (built on demand).
         """
         specs = [tuple(spec) for spec in specs]
         remaining = list(remaining)
@@ -507,9 +526,8 @@ class CandidateEvaluator:
                 cand_rows.extend(
                     (shard[r[0]], r[1], r[2], r[3], r[4]) for r in rows
                 )
-        order = {f: i for i, f in enumerate(remaining)}
         return [
-            ReconTable(rows, order, self._session, spec)
+            ReconTable(rows, self._session, spec)
             for rows, spec in zip(merged, specs)
         ]
 
@@ -540,7 +558,7 @@ class CandidateEvaluator:
     def _run_pool_dispatch(
         self,
         specs: Tuple[CandidateSpec, ...],
-        shards: List[List[Fault]],
+        shards: List[List[int]],
     ) -> List[List[List[tuple]]]:
         """Each shard's raw rows, scored by the pool workers.
 
@@ -551,9 +569,6 @@ class CandidateEvaluator:
         dispatch = self._dispatches
         self._dispatches += 1
         recovery = self.recovery
-        shard_indices = [
-            tuple(self._target_pos[f] for f in shard) for shard in shards
-        ]
         out: List[Optional[List[List[tuple]]]] = [None] * len(shards)
         attempts = [0] * len(shards)
         pending = list(range(len(shards)))
@@ -568,7 +583,7 @@ class CandidateEvaluator:
                 futures = {
                     i: pool.submit(
                         specs,
-                        shard_indices[i],
+                        shards[i],
                         self._chaos_action(dispatch, i, attempts[i]),
                         self.chaos.hang_seconds if self.chaos else 0.0,
                     )
@@ -640,7 +655,10 @@ class CandidateEvaluator:
                 except Exception as exc:
                     failed.append((i, "error", repr(exc)))
                     continue
-                if not _valid_rows(payload, len(specs), len(shards[i])):
+                if not _valid_rows(
+                    payload, len(specs), len(shards[i]),
+                    len(self._session.ts0), self._max_length,
+                ):
                     failed.append(
                         (i, "invalid-result",
                          "shard returned malformed candidate rows")

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import os
 import random
-from typing import List, Optional, Sequence, Tuple
-
-from repro.faults.model import Fault
+from typing import Any, List, Optional, Sequence, Tuple
 
 #: Faults per simulation word (bits of a uint64).
 WORD_BITS = 64
@@ -100,8 +98,9 @@ def shard_word_ranges(n_words: int, n_shards: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-def shard_faults(faults: Sequence[Fault], n_shards: int) -> List[List[Fault]]:
-    """Split ``faults`` into word-aligned contiguous shards.
+def shard_faults(faults: Sequence[Any], n_shards: int) -> List[List[Any]]:
+    """Split ``faults`` (faults, or the pool's target positions) into
+    word-aligned contiguous shards.
 
     Shard boundaries are multiples of 64 faults so each worker packs its
     shard into full words exactly as the serial simulator would.

@@ -7,7 +7,7 @@ uninjected copy row cut out.  Neither may change a row: each candidate's
 rows must equal its own one-candidate pass, and
 :func:`~repro.faults.pool.reconstruct_hits` of them must equal the serial
 :meth:`~FaultSimulator.simulate_grouped` result (contents and insertion
-order) for any ordered subset of the faults.
+order) for any ordered subset of the faults, named by position.
 """
 
 from __future__ import annotations
@@ -119,14 +119,18 @@ def test_window_rows_match_one_candidate_passes(case):
     sim = FaultSimulator(circuit, chain=chain)
     rows = sim.simulate_candidates(window, faults, policy)
     assert rows is not None
-    order = {f: i for i, f in enumerate(faults)}
+    position = {f: i for i, f in enumerate(faults)}
     for tests, cand_rows in zip(window, rows):
         assert cand_rows == sim.simulate_candidates([tests], faults, policy)[0]
-        named = [(faults[r[0]],) + r[1:] for r in cand_rows]
+        # Rows against the whole target list name faults by target position.
         for subset in (faults, remaining):
             want = sim.simulate_grouped(tests, subset, policy)
-            got = reconstruct_hits(named, order, subset)
-            assert list(got.items()) == list(want.items())
+            got = reconstruct_hits(
+                cand_rows, faults, [position[f] for f in subset]
+            )
+            assert [(faults[p], rec) for p, rec in got.items()] == list(
+                want.items()
+            )
 
 
 def _case(seed=7):

@@ -15,6 +15,8 @@ real worker processes and some deliberately kill them.
 import dataclasses
 import functools
 import json
+import os
+import pickle
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.core import procedure2
 from repro.core.config import BistConfig
 from repro.core.procedure2 import run_procedure2
 from repro.experiments.serialize import result_to_dict
+from repro.faults import pool as pool_mod
 from repro.faults.collapse import collapse_faults
 from repro.faults.pool import CandidateEvaluator, _valid_rows
 from repro.robustness.chaos import ChaosError, ChaosPlan, execute_injected
@@ -95,12 +98,17 @@ class TestChaosPlan:
         corrupted = execute_injected("corrupt", 0.0, lambda: real)
         # The real rows survive; one more names fault position -1.
         assert corrupted == [real[0] + [(-1, 0, 0, 0, "po")], real[1]]
-        assert _valid_rows(real, 2, 2)
-        assert not _valid_rows(corrupted, 2, 2)
+        assert _valid_rows(real, 2, 2, N_TESTS, MAX_LENGTH)
+        assert not _valid_rows(corrupted, 2, 2, N_TESTS, MAX_LENGTH)
         assert execute_injected(None, 0.0, lambda: real) is real
 
 
+#: The candidates' shape in the payloads below: two tests, the longer
+#: of length 3 (its final scan-out is recorded at time unit 3).
+N_TESTS, MAX_LENGTH = 2, 3
+
 #: A well-formed shard payload: two candidates against a 3-fault shard.
+#: The second row sits on the upper bound of its rank, test and time.
 GOOD_ROWS = [[(0, 0, 1, 2, "po"), (2, 1, 0, 3, "scan-out")], []]
 
 
@@ -108,7 +116,7 @@ class TestValidRows:
     """The parent's check of a worker's rows, one defect at a time."""
 
     def test_accepts_well_formed(self):
-        assert _valid_rows(GOOD_ROWS, 2, 3)
+        assert _valid_rows(GOOD_ROWS, 2, 3, N_TESTS, MAX_LENGTH)
 
     @pytest.mark.parametrize(
         "payload",
@@ -121,11 +129,20 @@ class TestValidRows:
             pytest.param([[(0, 0.0, 1, 2, "po")], []], id="non-int-rank"),
             pytest.param([[(0, 0, "1", 2, "po")], []], id="non-int-test"),
             pytest.param([[(0, 0, 1, None, "po")], []], id="non-int-time"),
+            pytest.param([[(0, -1, 1, 2, "po")], []], id="rank-minus-one"),
+            pytest.param([[(0, 2, 1, 2, "po")], []], id="rank-n-tests"),
+            pytest.param([[(0, 0, -1, 2, "po")], []], id="test-minus-one"),
+            pytest.param([[(0, 0, 2, 2, "po")], []], id="test-n-tests"),
+            pytest.param([[(0, 0, 1, -1, "po")], []], id="time-minus-one"),
+            pytest.param(
+                [[(0, 0, 1, 4, "scan-out")], []], id="time-past-scan-out"
+            ),
             pytest.param([[(0, 0, 1, 2, "chaos")], []], id="unknown-where"),
+            pytest.param([[(0, 0, 1, 2, ["po"])], []], id="unhashable-where"),
         ],
     )
     def test_rejects(self, payload):
-        assert not _valid_rows(payload, 2, 3)
+        assert not _valid_rows(payload, 2, 3, N_TESTS, MAX_LENGTH)
 
 
 class TestShardRecovery:
@@ -197,6 +214,49 @@ class TestProcedure2UnderChaos:
         # The serialized result is execution-independent: no degradation
         # key, and byte-identical to the clean serial run.
         assert blob == rig[2]
+
+    def test_out_of_range_test_index_is_rescued(
+        self, rig, monkeypatch, pool_submits
+    ):
+        """Workers whose rows name a test the candidates do not have are
+        rejected like any corrupted payload.  The serialized result
+        cannot show a detection's test index, so the records themselves
+        are compared with the serial run's, in order."""
+        circuit, faults, _clean = rig
+        serial = run_procedure2(circuit, CONFIG, faults)
+        parent = os.getpid()
+        inject = pool_mod.execute_injected
+
+        def past_the_last_test(action, hang_seconds, compute):
+            rows = inject(action, hang_seconds, compute)
+            if os.getpid() == parent:
+                return rows
+            return [
+                [(r[0], r[1], 1_000_000) + r[3:] if i == 0 else r
+                 for i, r in enumerate(cand_rows)]
+                for cand_rows in rows
+            ]
+
+        # Patched before the pool forks: every worker inherits it.
+        monkeypatch.setattr(pool_mod, "execute_injected", past_the_last_test)
+        monkeypatch.setattr(
+            procedure2,
+            "CandidateEvaluator",
+            functools.partial(CandidateEvaluator, shards=3),
+        )
+        config = dataclasses.replace(CONFIG, n_jobs=2, shard_retries=0)
+        result = run_procedure2(circuit, config, faults)
+        assert pool_submits.count > 0
+        assert result.degradation is not None
+        assert {(e.kind, e.action) for e in result.degradation.events} == {
+            ("invalid-result", "serial")
+        }
+        assert list(result.detections.items()) == list(
+            serial.detections.items()
+        )
+        assert pickle.dumps(result.detections) == pickle.dumps(
+            serial.detections
+        )
 
 
 class TestDegradationReport:

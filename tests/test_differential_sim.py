@@ -268,12 +268,16 @@ def test_pool_vs_serial_vs_sharded_identical(seed, pool_submits):
         n_jobs=2, targets=faults, shards=2,
     )
     try:
-        tables = evaluator.evaluate_specs(specs, faults)
+        every = list(range(len(faults)))
+        tables = evaluator.evaluate_specs(specs, every)
         assert pool_submits.count > 0 and not evaluator.degradation.degraded
         for spec, table in zip(specs, tables):
-            hits = table.hits_for(faults)
-            # Content AND insertion order must match the serial call.
-            assert list(hits.items()) == list(serial[spec].items())
+            hits = table.hits_for(every)
+            # Content AND insertion order must match the serial call,
+            # with faults named by their position in the targets.
+            assert [(faults[p], rec) for p, rec in hits.items()] == list(
+                serial[spec].items()
+            )
     finally:
         evaluator.close()
 

@@ -55,6 +55,16 @@ def serial_hits(circuit, spec, faults, policy=None):
     return FaultSimulator(circuit).simulate_grouped(tests, faults, policy)
 
 
+def by_fault(hits, faults):
+    """Position-keyed table hits keyed by the caller's fault objects."""
+    return {faults[p]: rec for p, rec in hits.items()}
+
+
+def every(faults):
+    """Every target position of ``faults``, ascending."""
+    return list(range(len(faults)))
+
+
 SPECS = [(0, None), (1, 1), (1, 2)]
 
 
@@ -108,10 +118,10 @@ class TestShardedEquivalence:
         faults = collapse_faults(medium_synth)
         assert len(faults) > 128  # three real shards
         with make_evaluator(medium_synth, faults) as ev:
-            tables = ev.evaluate_specs(SPECS, faults)
+            tables = ev.evaluate_specs(SPECS, every(faults))
         for spec, table in zip(SPECS, tables):
             serial = serial_hits(medium_synth, spec, faults)
-            hits = table.hits_for(faults)
+            hits = by_fault(table.hits_for(every(faults)), faults)
             # Content, insertion order and aliasing all match.
             assert list(hits.items()) == list(serial.items())
             assert pickle.dumps(hits) == pickle.dumps(serial)
@@ -120,12 +130,12 @@ class TestShardedEquivalence:
         # A table scored against the dispatch-time list answers for any
         # later, smaller remaining list exactly like a fresh serial call.
         faults = collapse_faults(medium_synth)
-        shrunk = faults[::3]
+        shrunk = every(faults)[::3]
         with make_evaluator(medium_synth, faults) as ev:
-            tables = ev.evaluate_specs(SPECS, faults)
+            tables = ev.evaluate_specs(SPECS, every(faults))
         for spec, table in zip(SPECS, tables):
-            assert list(table.hits_for(shrunk).items()) == list(
-                serial_hits(medium_synth, spec, shrunk).items()
+            assert list(by_fault(table.hits_for(shrunk), faults).items()) == list(
+                serial_hits(medium_synth, spec, faults[::3]).items()
             )
 
     def test_restricted_policy(self, medium_synth):
@@ -135,19 +145,19 @@ class TestShardedEquivalence:
             ObservationPolicy(primary_outputs=False, state_taps=[0, 7]),
         ):
             with make_evaluator(medium_synth, faults, policy) as ev:
-                tables = ev.evaluate_specs(SPECS, faults)
+                tables = ev.evaluate_specs(SPECS, every(faults))
             for spec, table in zip(SPECS, tables):
-                assert table.hits_for(faults) == serial_hits(
-                    medium_synth, spec, faults, policy
-                )
+                assert by_fault(
+                    table.hits_for(every(faults)), faults
+                ) == serial_hits(medium_synth, spec, faults, policy)
 
     def test_n_jobs_1_bypasses_pool(self, medium_synth):
         faults = collapse_faults(medium_synth)
         with make_evaluator(medium_synth, faults, n_jobs=1) as ev:
-            tables = ev.evaluate_specs(SPECS, faults)
+            tables = ev.evaluate_specs(SPECS, every(faults))
             assert ev._pool is None
         for spec, table in zip(SPECS, tables):
-            assert table.hits_for(faults) == serial_hits(
+            assert by_fault(table.hits_for(every(faults)), faults) == serial_hits(
                 medium_synth, spec, faults
             )
 
@@ -156,9 +166,9 @@ class TestShardedEquivalence:
         # does; in universe order the two lists are equal.
         faults = collapse_faults(medium_synth)
         with make_evaluator(medium_synth, faults, shards=2) as ev:
-            hits = ev.evaluate_ts0(faults).hits_for(faults)
+            hits = ev.evaluate_ts0(every(faults)).hits_for(every(faults))
         assert pool_submits.count > 0 and not ev.degradation.degraded
-        pooled = [f for f in faults if f in hits]
+        pooled = [f for i, f in enumerate(faults) if i in hits]
         assert pooled == FaultSimulator(medium_synth).detected_by(
             generate_ts0(medium_synth, CFG), faults
         )
@@ -216,11 +226,11 @@ class TestGracefulDegradation:
         with ev:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # structured, not a warning
-                tables = ev.evaluate_specs(SPECS, faults)
+                tables = ev.evaluate_specs(SPECS, every(faults))
             for spec, table in zip(SPECS, tables):
-                assert table.hits_for(faults) == serial_hits(
-                    medium_synth, spec, faults
-                )
+                assert by_fault(
+                    table.hits_for(every(faults)), faults
+                ) == serial_hits(medium_synth, spec, faults)
             # One pool-unavailable event per pending shard, resolved
             # serially.
             events = ev.degradation.events
@@ -230,7 +240,7 @@ class TestGracefulDegradation:
             assert len(events) == 3
             # After a pool-level failure the evaluator stays in-process,
             # without growing the report further.
-            ev.evaluate_specs(SPECS, faults)
+            ev.evaluate_specs(SPECS, every(faults))
             assert len(ev.degradation.events) == 3
 
 
@@ -295,9 +305,11 @@ class TestTs0Parallel:
     def test_ts0_detection_counts_match(self, medium_synth, pool_submits):
         faults = collapse_faults(medium_synth)
         with make_evaluator(medium_synth, faults, n_jobs=4) as ev:
-            hits = ev.evaluate_ts0(faults).hits_for(faults)
+            hits = ev.evaluate_ts0(every(faults)).hits_for(every(faults))
         assert pool_submits.count > 0 and not ev.degradation.degraded
-        assert hits == serial_hits(medium_synth, (0, None), faults)
+        assert by_fault(hits, faults) == serial_hits(
+            medium_synth, (0, None), faults
+        )
 
 
 class TestForkInheritance:
@@ -329,10 +341,10 @@ class TestForkInheritance:
         monkeypatch.setattr(pool_mod._Session, "__getstate__", counting)
         faults = collapse_faults(medium_synth)
         with make_evaluator(medium_synth, faults) as ev:
-            ev.evaluate_specs(SPECS, faults)
-            ev.evaluate_specs(SPECS, faults)
+            ev.evaluate_specs(SPECS, every(faults))
+            ev.evaluate_specs(SPECS, every(faults))
             ev._pool.kill()  # respawn on the next dispatch
-            ev.evaluate_specs(SPECS, faults)
+            ev.evaluate_specs(SPECS, every(faults))
         assert pool_submits.count > 0
         assert counts["n"] == 0
 
@@ -351,12 +363,12 @@ class TestForkInheritance:
         probed = []  # per process: forked workers append to their copy
         rows = pool_mod._Session.rows
 
-        def probing(self, specs, faults):
+        def probing(self, specs, positions):
             if os.getpid() != parent and not probed:
                 probed.append(True)
                 if getattr(self.simulator, "_vals_buf", None) is not None:
                     raise RuntimeError("worker inherited a value buffer")
-            return rows(self, specs, faults)
+            return rows(self, specs, positions)
 
         monkeypatch.setattr(pool_mod._Session, "rows", probing)
         faults = collapse_faults(medium_synth)
@@ -364,11 +376,11 @@ class TestForkInheritance:
             sim = ev._session.simulator
             sim.simulate_grouped(ev._session.ts0, faults)
             assert sim._vals_buf is not None
-            tables = ev.evaluate_specs(SPECS, faults)
+            tables = ev.evaluate_specs(SPECS, every(faults))
             assert not ev.degradation.events
         assert pool_submits.count > 0
         for spec, table in zip(SPECS, tables):
-            assert table.hits_for(faults) == serial_hits(
+            assert by_fault(table.hits_for(every(faults)), faults) == serial_hits(
                 medium_synth, spec, faults
             )
 
@@ -390,7 +402,7 @@ class TestForkInheritance:
             FaultSimulator(s27), generate_ts0(s27, cfg), cfg,
             s27.num_state_vars, None, n_jobs=2, targets=faults,
         ) as ev:
-            tables = ev.evaluate_specs(specs, faults)
+            tables = ev.evaluate_specs(specs, every(faults))
             assert ev._pool is None and not ev.degradation.degraded
         assert not forks
         tests = generate_ts0(s27, cfg)
@@ -398,6 +410,6 @@ class TestForkInheritance:
             built = build_limited_scan_test_set(
                 tests, spec[0], spec[1], cfg, s27.num_state_vars
             )
-            assert table.hits_for(faults) == FaultSimulator(
+            assert by_fault(table.hits_for(every(faults)), faults) == FaultSimulator(
                 s27
             ).simulate_grouped(built, faults)

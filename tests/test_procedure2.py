@@ -1,15 +1,18 @@
 """Tests for Procedure 2 and its result accounting."""
 
 import dataclasses
+import re
 
 import pytest
 
 from repro.atpg.classify import classify_faults
+from repro.core import procedure2
 from repro.core.config import BistConfig, D1_DECREASING
 from repro.core.cost import ncyc0
 from repro.core.procedure2 import resume_procedure2, run_procedure2
 from repro.faults.collapse import collapse_faults
 from repro.faults.fault_sim import FaultSimulator
+from repro.robustness.checkpoint import CheckpointWriter
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +125,51 @@ class TestRunProcedure2:
         cfg = BistConfig(la=4, lb=8, n=8)
         res = run_procedure2(circuit, cfg, faults, simulator=sim)
         assert "complete" in res.summary()
+
+
+class TestDistinctTargets:
+    """Procedure 2 names each fault by its position in the target list,
+    so a repeated target is an error rather than a smaller count."""
+
+    CFG = BistConfig(la=4, lb=8, n=4, max_iterations=3)
+
+    def test_repeated_target_raises_before_any_journal(
+        self, s27_setup, tmp_path
+    ):
+        circuit, sim, faults = s27_setup
+        repeated = faults + [faults[5]]
+        path = tmp_path / "j.jsonl"
+        with pytest.raises(
+            ValueError, match=re.escape(f"{faults[5]} is repeated")
+        ):
+            run_procedure2(
+                circuit, self.CFG, repeated, simulator=sim,
+                checkpoint=str(path),
+            )
+        assert not path.exists()
+        with pytest.raises(ValueError, match="must be distinct"):
+            run_procedure2(circuit, self.CFG, repeated, simulator=sim)
+
+    def test_resume_leaves_the_journal_untouched(self, s27_setup, tmp_path):
+        # Only a journal written without the check can match a repeated
+        # target list; resume must neither heal its torn tail nor append.
+        circuit, sim, faults = s27_setup
+        repeated = faults + [faults[5]]
+        path = tmp_path / "j.jsonl"
+        CheckpointWriter(
+            path,
+            header=procedure2._journal_header(
+                circuit, self.CFG, sim.chain_length, repeated
+            ),
+        )
+        with path.open("ab") as fh:
+            fh.write(b'{"kind": "ts0", "detec')
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="is repeated"):
+            resume_procedure2(
+                circuit, self.CFG, repeated, str(path), simulator=sim
+            )
+        assert path.read_bytes() == before
 
 
 class TestCandidateBias:

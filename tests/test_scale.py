@@ -393,14 +393,17 @@ class TestLargestCircuitPoolRoundTrip:
             n_jobs=2, targets=faults,
         )
         try:
-            tables = evaluator.evaluate_specs(specs, faults)
+            every = list(range(len(faults)))
+            tables = evaluator.evaluate_specs(specs, every)
             for spec, table in zip(specs, tables):
-                hits = table.hits_for(faults)
+                # Faults come back by target position; name them by the
+                # caller's objects to compare with the serial dict.
+                hits = {faults[p]: rec for p, rec in table.hits_for(every).items()}
                 assert list(hits.items()) == list(serial[spec].items())
                 # Byte-identity, aliasing included: pooled records must
-                # intern the caller's fault objects, not keep the equal
-                # copies that crossed the worker boundary (pickle bytes
-                # see the difference even when every comparison passes).
+                # hold the caller's fault objects, not equal copies that
+                # crossed the worker boundary (pickle bytes see the
+                # difference even when every comparison passes).
                 assert pickle.dumps(hits) == pickle.dumps(serial[spec])
         finally:
             evaluator.close()
